@@ -20,7 +20,6 @@ the headroom.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -125,7 +124,7 @@ class Tensor:
     # -- autodiff ------------------------------------------------------
 
     def backward(self) -> None:
-        """Populate ``grad`` on every requires_grad ancestor of this scalar."""
+        """Accumulate into ``grad`` on every requires_grad leaf this scalar depends on."""
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar output, got shape {self.shape}")
         Tape.trace(self).backward(self)
@@ -202,7 +201,8 @@ class Tape:
 
     Creation order is topological by construction (an op's inputs exist
     before the op records), so ``backward`` walks the records exactly
-    once, in reverse.
+    once, in reverse. Only leaves keep a ``grad``: an intermediate's
+    gradient lives in ``backward`` until its record has been replayed.
     """
 
     def __init__(self, records: list[Tensor]):
@@ -235,7 +235,6 @@ class Tape:
             g = pending.pop(id(rec), None)
             if g is None:
                 continue
-            rec.grad = g if rec.grad is None else rec.grad + g
             for parent, contrib in zip(rec._parents, rec._rule(g)):
                 if contrib is None or not parent.requires_grad:
                     continue
@@ -315,7 +314,11 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Batched matrix product; leading batch dims broadcast numpy-style."""
+    """Batched matrix product; leading batch dims broadcast numpy-style.
+
+    A 2-D right operand (a weight) folds the left operand's leading dims
+    into its rows, so forward and backward are one 2-D product each.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
@@ -326,10 +329,21 @@ def matmul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul batch dimensions do not broadcast: {a.shape} @ {b.shape}") from None
     da, db = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+    if b.ndim == 2:
+        rows = da.reshape(-1, da.shape[-1])
+        out_shape = da.shape[:-1] + db.shape[-1:]
+
+        def rule(g):
+            g2 = g.reshape(-1, db.shape[-1])
+            ga = (g2 @ db.T).reshape(da.shape) if need_a else None
+            return ga, (rows.T @ g2 if need_b else None)
+
+        return _record((rows @ db).reshape(out_shape), (a, b), rule)
 
     def rule(g):
-        ga = _reduce_to(g @ np.swapaxes(db, -1, -2), da.shape)
-        gb = _reduce_to(np.swapaxes(da, -1, -2) @ g, db.shape)
+        ga = _reduce_to(g @ np.swapaxes(db, -1, -2), da.shape) if need_a else None
+        gb = _reduce_to(np.swapaxes(da, -1, -2) @ g, db.shape) if need_b else None
         return ga, gb
 
     return _record(da @ db, (a, b), rule)
@@ -484,14 +498,22 @@ def masked_fill(t: Tensor, keep, value: float) -> Tensor:
 
 
 def scale_by(t: Tensor, factor) -> Tensor:
-    """Elementwise multiply by a constant array broadcastable to ``t``."""
+    """Elementwise multiply by a constant array, numpy-broadcast both ways.
+
+    The result has the broadcast shape; the gradient sums back over the
+    axes the factor added (e.g. a per-window mask scaling one shared
+    parameter across a batch).
+    """
     t = as_tensor(t)
     factor = np.asarray(_as_const_array(factor), dtype=np.float64)
-    if np.broadcast_shapes(factor.shape, t.shape) != t.shape:
-        raise ShapeError(f"factor of shape {factor.shape} does not broadcast onto {t.shape}")
+    try:
+        np.broadcast_shapes(factor.shape, t.shape)
+    except ValueError:
+        raise ShapeError(f"factor of shape {factor.shape} does not broadcast with {t.shape}") from None
+    in_shape = t.shape
 
     def rule(g):
-        return (g * factor,)
+        return (_reduce_to(g * factor, in_shape),)
 
     return _record(t.data * factor, (t,), rule)
 
@@ -539,8 +561,8 @@ def sigmoid(t: Tensor) -> Tensor:
     t = as_tensor(t)
     # Split by sign to avoid overflow in exp.
     d = t.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.clip(d, 0, None))),
-                 np.exp(np.clip(d, None, 0)) / (1.0 + np.exp(np.clip(d, None, 0))))
+    e_neg = np.exp(np.clip(d, None, 0))
+    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.clip(d, 0, None))), e_neg / (1.0 + e_neg))
 
     def rule(g):
         return (g * y * (1.0 - y),)
@@ -618,54 +640,46 @@ def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def conv1d_time(t: Tensor, kernel: Tensor, padding: str = "same") -> Tensor:
-    """1-D cross-correlation along the middle (time) axis.
+    """1-D cross-correlation along the time axis (second to last).
 
-    ``t`` has shape (N, T, c_in) and ``kernel`` (K, c_in, c_out).
-    "same" zero-pads so the output keeps T steps; "valid" yields
-    T - K + 1 steps.
+    ``t`` has shape (..., N, T, c_in), any leading dims folding into the
+    rows, and ``kernel`` (K, c_in, c_out). "same" zero-pads so the output
+    keeps T steps; "valid" yields T - K + 1 steps.
     """
     t, kernel = as_tensor(t), as_tensor(kernel)
-    if t.ndim != 3 or kernel.ndim != 3:
-        raise ShapeError(f"conv1d_time needs (N,T,c_in) and (K,c_in,c_out), got {t.shape} and {kernel.shape}")
-    if t.shape[2] != kernel.shape[1]:
+    if t.ndim < 3 or kernel.ndim != 3:
+        raise ShapeError(f"conv1d_time needs (...,N,T,c_in) and (K,c_in,c_out), got {t.shape} and {kernel.shape}")
+    if t.shape[-1] != kernel.shape[1]:
         raise ShapeError(f"conv1d_time channel mismatch: input {t.shape} vs kernel {kernel.shape}")
     if padding not in ("same", "valid"):
         raise ContractError(f"unknown padding mode {padding!r}")
-    steps, width = t.shape[1], kernel.shape[0]
+    steps, width = t.shape[-2], kernel.shape[0]
     if width > steps:
         raise ShapeError(f"kernel width {width} exceeds {steps} time steps")
-    n, c_in = t.shape[0], t.shape[2]
+    lead, c_in = t.shape[:-2], t.shape[-1]
+    n = int(np.prod(lead, dtype=np.int64))
     c_out = kernel.shape[2]
     pad_left = (width - 1) // 2 if padding == "same" else 0
-    pad_right = (width - 1) - pad_left if padding == "same" else 0
     if padding == "same":
         padded = np.zeros((n, steps + width - 1, c_in))
-        padded[:, pad_left:pad_left + steps, :] = t.data
+        padded[:, pad_left:pad_left + steps, :] = t.data.reshape(n, steps, c_in)
     else:
-        padded = t.data
+        padded = t.data.reshape(n, steps, c_in)
     out_steps = padded.shape[1] - width + 1
     # im2col: contract (c_in, K) windows against the kernel as one matmul
     cols = sliding_window_view(padded, width, axis=1).reshape(n * out_steps, c_in * width)
     kmat = kernel.data.transpose(1, 0, 2).reshape(c_in * width, c_out)
-    out = (cols @ kmat).reshape(n, out_steps, c_out)
-    kd = kernel.data
+    out = (cols @ kmat).reshape(lead + (out_steps, c_out))
+    in_shape = t.shape
 
     def rule(g):
         gflat = g.reshape(n * out_steps, c_out)
         dkernel = (cols.T @ gflat).reshape(c_in, width, c_out).transpose(1, 0, 2)
-        gp = np.zeros((n, out_steps + 2 * (width - 1), c_out))
-        gp[:, width - 1:width - 1 + out_steps, :] = g
-        gcols = sliding_window_view(gp, width, axis=1).reshape(n * (out_steps + width - 1),
-                                                               c_out * width)
-        # full correlation with the flipped kernel recovers the input gradient
-        kflip = kd[::-1].transpose(2, 0, 1).reshape(c_out * width, c_in)
-        dpadded = (gcols @ kflip).reshape(n, out_steps + width - 1, c_in)
-        dx = dpadded[:, pad_left:pad_left + steps, :] if padding == "same" else dpadded
-        return np.ascontiguousarray(dx), dkernel
+        # col2im: each tap's column gradient adds back onto the steps it read
+        dcols = (gflat @ kmat.T).reshape(n, out_steps, c_in, width)
+        dpadded = np.zeros(padded.shape)
+        for tap in range(width):
+            dpadded[:, tap:tap + out_steps, :] += dcols[..., tap]
+        return dpadded[:, pad_left:pad_left + steps, :].reshape(in_shape), dkernel
 
     return _record(out, (t, kernel), rule)
-
-
-def scaled_dot(a: Tensor, b_t: Tensor, head_dim: int) -> Tensor:
-    """Attention scores a @ b_t / sqrt(head_dim)."""
-    return matmul(a, b_t) * (1.0 / math.sqrt(head_dim))

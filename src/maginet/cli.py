@@ -331,13 +331,17 @@ def cmd_impute(args) -> int:
     model = load_checkpoint(_require(args.checkpoint, "checkpoint"), graph)
     mask = _load_or_make_mask(args, cfg, series, None) if args.mask else np.zeros(
         (series.n_nodes, series.n_steps), dtype=np.int8)
-    windows = data.make_windows(series, mask, model.width, model.width)
+    width, steps = model.width, series.n_steps
     filled = np.array(series.values)
+    windows = data.make_windows(series, mask, width, width)
     for w in windows:
-        xhat = model.impute(w)
-        sl = slice(w.window_start, w.window_start + w.width)
-        visible = w.m[:, :, None] == 1.0
-        filled[:, sl, :] = np.where(visible, filled[:, sl, :], xhat)
+        filled[:, w.window_start:w.window_start + width, :] = model.impute(w)
+    covered = len(windows) * width
+    if covered < steps:
+        # a right-aligned window imputes the steps no full window covers
+        tail = data.SeriesMatrix(values=series.values[:, steps - width:])
+        (w,) = data.make_windows(tail, mask[:, steps - width:], width, width)
+        filled[:, covered:, :] = model.impute(w)[:, covered - (steps - width):, :]
     out = _out_dir(args)
     path = out / "imputed.csv"
     data.save_series_csv(path, data.SeriesMatrix(values=filled), comment=_provenance(args, cfg.seed))

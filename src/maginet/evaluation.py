@@ -113,7 +113,7 @@ def knn_baseline(window: IncompleteWindow, k: int) -> np.ndarray:
     if k >= n:
         raise ContractError(f"k must be below the node count ({n}), got {k}")
     dist = node_distances(window)
-    fallback = mean_baseline(window)
+    fallback = None  # the mean baseline, built only if some entry needs it
     out = np.array(window.x)
     order = np.argsort(dist, axis=1, kind="stable")
     for i in range(n):
@@ -123,6 +123,8 @@ def knn_baseline(window: IncompleteWindow, k: int) -> np.ndarray:
             if neighbors:
                 out[i, t, :] = window.x[neighbors, t, :].mean(axis=0)
             else:
+                if fallback is None:
+                    fallback = mean_baseline(window)
                 out[i, t, :] = fallback[i, t, :]
     return out
 
@@ -223,6 +225,8 @@ def run_sweep_cell(series: SeriesMatrix, graph: TrafficGraph, ratio: float, meth
     mask = draw_eval_mask(series, ratio, cell_seed)
     windows = make_windows(series, mask, width, stride)
     splits = split(windows, fractions)
+    if not splits[2]:
+        raise InputError("no windows in the test split")
     start = time.perf_counter()
     if method in ("mean", "knn"):
         cell_rmse, cell_mape = evaluate_baseline(method, splits[2], knn_k)

@@ -220,21 +220,34 @@ class ModelParams:
 
 
 # -- forward pieces ---------------------------------------------------------
+#
+# Every piece takes an optional leading batch axis: features (N, W, ...)
+# for one window or (B, N, W, ...) for a stack of windows, the mask
+# shaped like the features without their last axis. The statistics the
+# ablations use (prefill means, uniform-attention key counts) stay per
+# window.
+
+
+def _permute(t: Tensor, *core: int) -> Tensor:
+    """Transpose the trailing axes of ``t`` by ``core``; leading axes stay."""
+    lead = t.ndim - len(core)
+    return ad.transpose(t, tuple(range(lead)) + tuple(lead + i for i in core))
 
 
 def _prefill(x: np.ndarray, m: np.ndarray, mode: str) -> np.ndarray:
     """Replace unobserved entries of x by a constant (the pre-filling the
     default encoder exists to avoid; kept for the ablation variants)."""
-    m3 = m[:, :, None]
+    m3 = m[..., None]
     if mode == "zero":
         return x * m3
-    per_node_sum = (x * m3).sum(axis=1)                       # (N, C)
-    per_node_cnt = m.sum(axis=1)[:, None]                     # (N, 1)
-    total_cnt = m.sum()
-    global_mean = (x * m3).sum(axis=(0, 1)) / total_cnt if total_cnt else np.zeros(x.shape[2])
+    per_node_sum = (x * m3).sum(axis=-2)                      # (..., N, C)
+    per_node_cnt = m.sum(axis=-1)[..., None]                  # (..., N, 1)
+    total_cnt = m.sum(axis=(-2, -1))[..., None, None]         # (..., 1, 1)
+    total_sum = (x * m3).sum(axis=(-3, -2))[..., None, :]     # (..., 1, C)
+    global_mean = np.where(total_cnt > 0, total_sum / np.where(total_cnt > 0, total_cnt, 1.0), 0.0)
     node_mean = np.where(per_node_cnt > 0, per_node_sum / np.where(per_node_cnt > 0, per_node_cnt, 1.0),
                          global_mean)
-    return x * m3 + node_mean[:, None, :] * (1.0 - m3)
+    return x * m3 + node_mean[..., None, :] * (1.0 - m3)
 
 
 def amst_encode(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConfig) -> Tensor:
@@ -244,7 +257,7 @@ def amst_encode(x: np.ndarray, m: np.ndarray, params: ModelParams, config: Model
     """
     if np.isnan(x[m == 1.0]).any():
         raise InputError("NaN at an observed position; convert NaNs to masked entries upstream")
-    m3 = m[:, :, None]
+    m3 = m[..., None]
     if "no_amstenc" in config.ablations:
         return ad.matmul(ad.constant(x * m3), params["encoder.w_obs"]) + params["encoder.b_obs"]
     if "zero_prefill" in config.ablations or "mean_prefill" in config.ablations:
@@ -262,37 +275,32 @@ def temporal_attention(h: Tensor, m: np.ndarray, a_prev: Tensor, params: ModelPa
                        internals: dict | None = None) -> tuple[Tensor, Tensor]:
     """Masked multi-head self-attention along time, per node.
 
-    Scores accumulate across blocks through ``a_prev``; keys at m = 0 get
-    exactly zero weight (neg_inf mode). A query whose keys are all masked
-    receives zero context, so the residual passes the input through.
+    Scores (..., N, heads, W, W) accumulate across blocks through
+    ``a_prev``; keys at m = 0 get exactly zero weight (neg_inf mode). A
+    query whose keys are all masked receives zero context, so the
+    residual passes the input through. All heads' q/k/v projections run
+    as one product.
     """
-    n, width, d = h.shape
+    *lead, n, width, _ = h.shape
     p = f"block{block}"
-    dh = config.dh
-    scale = 1.0 / math.sqrt(dh)
-    values = []
-    scores = []
-    for head in range(config.heads):
-        q = ad.matmul(h, params[f"{p}.attn.q{head}"])
-        k = ad.matmul(h, params[f"{p}.attn.k{head}"])
-        values.append(ad.matmul(h, params[f"{p}.attn.v{head}"]))
-        scores.append(ad.matmul(q, ad.transpose(k, (0, 2, 1))) * scale)
-    v_stack = ad.stack(values, axis=1)                    # (N, m, W, dh)
-    a_new = ad.stack(scores, axis=1) + a_prev             # (N, m, W, W)
-    key_mask = m[:, None, None, :]
+    heads, dh = config.heads, config.dh
+    w_qkv = ad.concat([params[f"{p}.attn.{kind}{head}"] for kind in "qkv" for head in range(heads)],
+                      axis=1)
+    qkv = ad.reshape(ad.matmul(h, w_qkv), (*lead, n, width, 3 * heads, dh))
+    qkv = _permute(qkv, 0, 2, 1, 3)                       # (..., N, 3 heads, W, dh)
+    q, k, v = (ad.slice_axis(qkv, -3, i * heads, (i + 1) * heads) for i in range(3))
+    a_new = ad.matmul(q, _permute(k, 0, 1, 3, 2)) * (1.0 / math.sqrt(dh)) + a_prev
+    key_mask = m[..., None, None, :]                      # (..., N, 1, 1, W)
     if "no_mastatt" in config.ablations:
-        counts = m.sum(axis=1)
-        uniform = np.where(counts[:, None, None, None] > 0,
-                           key_mask / np.where(counts[:, None, None, None] > 0,
-                                               counts[:, None, None, None], 1.0),
-                           0.0)
-        weights = ad.constant(np.broadcast_to(uniform, (n, config.heads, width, width)).copy())
+        counts = m.sum(axis=-1)[..., None, None, None]
+        uniform = np.where(counts > 0, key_mask / np.where(counts > 0, counts, 1.0), 0.0)
+        weights = ad.constant(np.broadcast_to(uniform, a_new.shape).copy())
     elif config.mask_mode == "neg_inf":
         weights = ad.softmax_lastdim(ad.masked_fill(a_new, key_mask, -np.inf))
     else:
         weights = ad.softmax_lastdim(ad.scale_by(a_new, key_mask))
-    context = ad.matmul(weights, v_stack)                 # (N, m, W, dh)
-    context = ad.reshape(ad.transpose(context, (0, 2, 1, 3)), (n, width, config.heads * dh))
+    context = _permute(ad.matmul(weights, v), 0, 2, 1, 3)  # (..., N, W, heads, dh)
+    context = ad.reshape(context, (*lead, n, width, heads * dh))
     mixed = ad.matmul(context, params[f"{p}.attn.w_ctx"]) + params[f"{p}.attn.b_ctx"]
     h_matt = ad.layer_norm(mixed + h, params[f"{p}.attn.ln.gain"], params[f"{p}.attn.ln.bias"])
     if internals is not None:
@@ -307,27 +315,33 @@ def spatial_attention(h_matt: Tensor, m: np.ndarray, params: ModelParams, config
 
     Collapse = same-padded conv along time, mean pool over the window,
     linear map to the node-embedding size, plus the spatial positions.
+    Returns one (..., N, N) tensor per head; all heads' q/k projections
+    run as one product.
     """
-    n = h_matt.shape[0]
+    *lead, n, _, _ = h_matt.shape
     p = f"block{block}"
+    heads, dh = config.heads, config.dh
     if "no_mastatt" in config.ablations:
-        flat = ad.constant(np.full((n, n), 1.0 / n))
-        heads = [flat for _ in range(config.heads)]
+        flat = ad.constant(np.full((*lead, n, n), 1.0 / n))
+        s_heads = [flat for _ in range(heads)]
     else:
         z = ad.conv1d_time(h_matt, params[f"{p}.collapse.kernel"], "same") + params[f"{p}.collapse.bias"]
-        z = z.mean(axis=1)
+        z = z.mean(axis=-2)
         z = ad.matmul(z, params[f"{p}.collapse.w_proj"]) + params[f"{p}.collapse.b_proj"]
         z = z + params["pos_space"]
-        scale = 1.0 / math.sqrt(config.dh)
-        heads = []
-        for head in range(config.heads):
-            q = ad.matmul(z, params[f"{p}.spatial.q{head}"])
-            k = ad.matmul(z, params[f"{p}.spatial.k{head}"])
-            heads.append(ad.softmax_lastdim(ad.matmul(q, ad.transpose(k, (1, 0))) * scale))
+        w_qk = ad.concat([params[f"{p}.spatial.{kind}{head}"] for kind in "qk" for head in range(heads)],
+                         axis=1)
+        qk = ad.reshape(ad.matmul(z, w_qk), (*lead, n, 2 * heads, dh))
+        qk = _permute(qk, 1, 0, 2)                        # (..., 2 heads, N, dh)
+        q = ad.slice_axis(qk, -3, 0, heads)
+        k_t = _permute(ad.slice_axis(qk, -3, heads, 2 * heads), 0, 2, 1)
+        s = ad.softmax_lastdim(ad.matmul(q, k_t) * (1.0 / math.sqrt(dh)))   # (..., heads, N, N)
+        s_heads = [ad.reshape(ad.slice_axis(s, -3, head, head + 1), (*lead, n, n))
+                   for head in range(heads)]
     if internals is not None:
         internals.setdefault("spatial_weights", []).append(
-            np.stack([head.data for head in heads]))
-    return heads
+            np.stack([head.data for head in s_heads], axis=-3))
+    return s_heads
 
 
 def graph_conv(h: Tensor, s_heads: list[Tensor], basis: ChebyshevBasis, params: ModelParams,
@@ -339,15 +353,14 @@ def graph_conv(h: Tensor, s_heads: list[Tensor], basis: ChebyshevBasis, params: 
     """
     if basis.order < 1:
         raise ContractError("graph convolution needs a Chebyshev basis of order >= 1")
-    n, width, d = h.shape
+    *lead, n, width, d = h.shape
     p = f"block{block}"
-    h_flat = ad.reshape(h, (n, width * d))
+    h_flat = ad.reshape(h, (*lead, n, width * d))
     out = None
     for k in range(basis.order):
         weighted = ad.scale_by(s_heads[k % config.heads], basis.matrices[k])
-        mixed = ad.matmul(weighted, h_flat)                       # (N, W*d)
-        mixed = ad.matmul(ad.reshape(mixed, (n * width, d)), params[f"{p}.cheb.theta{k}"])
-        term = ad.reshape(mixed, (n, width, d))
+        mixed = ad.reshape(ad.matmul(weighted, h_flat), (*lead, n, width, d))
+        term = ad.matmul(mixed, params[f"{p}.cheb.theta{k}"])
         out = term if out is None else out + term
     return out
 
@@ -360,41 +373,48 @@ def gated_temporal_conv(e: Tensor, h: Tensor, params: ModelParams, config: Model
     residual-add onto the graph-conv output; the block then re-attaches
     its input through a second projected skip before layer norm.
     """
-    n, width, d = e.shape
+    d = e.shape[-1]
     p = f"block{block}"
     if "no_gtconv" not in config.ablations:
         gated = []
         for i in range(len(config.kernel_sizes)):
             c = ad.conv1d_time(e, params[f"{p}.gate{i}.kernel"], "same") + params[f"{p}.gate{i}.bias"]
-            filt = ad.tanh(ad.slice_axis(c, 2, 0, d))
-            gate = ad.sigmoid(ad.slice_axis(c, 2, d, 2 * d))
+            filt = ad.tanh(ad.slice_axis(c, -1, 0, d))
+            gate = ad.sigmoid(ad.slice_axis(c, -1, d, 2 * d))
             gated.append(filt * gate)
-        cat = ad.concat(gated, axis=2)
+        cat = ad.concat(gated, axis=-1)
         merged = ad.matmul(cat, params[f"{p}.merge_gates.w"]) + params[f"{p}.merge_gates.b"]
         e_out = ad.relu(merged + e)
     else:
         e_out = e
     if internals is not None:
         internals.setdefault("conv_residual", []).append(e_out.data.copy())
-    skip = ad.relu(ad.concat([e_out, h], axis=2))
+    skip = ad.relu(ad.concat([e_out, h], axis=-1))
     skip = ad.matmul(skip, params[f"{p}.merge_skip.w"]) + params[f"{p}.merge_skip.b"]
     return ad.layer_norm(skip, params[f"{p}.ln_out.gain"], params[f"{p}.ln_out.bias"])
 
 
 def forward(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConfig,
             basis: ChebyshevBasis, internals: dict | None = None) -> Tensor:
-    """Impute a window: (N, W, C) features + (N, W) mask -> (N, W, C)."""
+    """Impute a window, (N, W, C) features + (N, W) mask -> (N, W, C), or a
+    stack of windows, (B, N, W, C) + (B, N, W) -> (B, N, W, C).
+
+    Each window of a stack gets the output it would get alone; the
+    ``internals`` entries gain the same leading axis.
+    """
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
-    n_nodes, width, n_feat = x.shape
+    if x.ndim not in (3, 4):
+        raise ContractError(f"features must be (N, W, C) or (B, N, W, C), got shape {x.shape}")
+    *lead, n_nodes, width, n_feat = x.shape
     zu = params["encoder.missing_embed"]
     if zu.shape[0] != n_nodes or zu.shape[1] != width or params["encoder.w_obs"].shape[0] != n_feat:
         raise ContractError(
             f"window shape ({n_nodes}, {width}, {n_feat}) does not match parameters sized for "
             f"({zu.shape[0]}, {zu.shape[1]}, {params['encoder.w_obs'].shape[0]})"
         )
-    if m.shape != (n_nodes, width):
-        raise ContractError(f"mask shape {m.shape} does not match window ({n_nodes}, {width})")
+    if m.shape != x.shape[:-1]:
+        raise ContractError(f"mask shape {m.shape} does not match window {x.shape[:-1]}")
     h = amst_encode(x, m, params, config)
     if "no_mastdec" in config.ablations:
         return ad.matmul(h, params["linear_head.w"]) + params["linear_head.b"]
@@ -403,7 +423,7 @@ def forward(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConf
     # alongside. Within a block the graph convolution aggregates the
     # block input itself, not the attention context, whose job is to
     # shape the aggregation weights.
-    a_prev: Tensor = ad.constant(np.zeros((n_nodes, config.heads, width, width)))
+    a_prev: Tensor = ad.constant(np.zeros((*lead, n_nodes, config.heads, width, width)))
     total = None
     h_in = h
     for b in range(config.blocks):
@@ -441,16 +461,22 @@ class MagiNet:
     def forward(self, x: np.ndarray, m: np.ndarray, internals: dict | None = None) -> Tensor:
         return forward(x, m, self.params, self.config, self.basis, internals)
 
-    def predict(self, window: IncompleteWindow, internals: dict | None = None) -> np.ndarray:
-        """Imputed window in original units (gradient-free)."""
-        x, m = window.x, window.m
+    def _predict(self, x: np.ndarray, m: np.ndarray, internals: dict | None = None) -> np.ndarray:
         if self.normalizer is not None:
-            x = np.where(m[:, :, None] == 1.0, self.normalizer.transform(x), 0.0)
+            x = np.where(m[..., None] == 1.0, self.normalizer.transform(x), 0.0)
         with ad.no_grad():
             out = self.forward(x, m, internals).data
         if self.normalizer is not None:
             out = self.normalizer.inverse(out)
         return out
+
+    def predict(self, window: IncompleteWindow, internals: dict | None = None) -> np.ndarray:
+        """Imputed window in original units (gradient-free)."""
+        return self._predict(window.x, window.m, internals)
+
+    def predict_batch(self, windows: list[IncompleteWindow]) -> np.ndarray:
+        """``predict`` for a list of windows in one forward pass: (B, N, W, C)."""
+        return self._predict(np.stack([w.x for w in windows]), np.stack([w.m for w in windows]))
 
     def impute(self, window: IncompleteWindow) -> np.ndarray:
         """Fill only m = 0 positions; observed values pass through untouched."""

@@ -9,7 +9,6 @@ matter how windows are grouped.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from .model import MagiNet
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+EVAL_CHUNK = 8  # windows per forward pass when predicting for metrics
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,17 @@ class TrainConfig:
 
 
 def masked_l1_loss(xhat: Tensor, xtilde, eval_mask) -> Tensor:
-    """Mean absolute error over held-out positions (feature-averaged)."""
+    """Mean absolute error over held-out positions (feature-averaged).
+
+    Takes one window, (N, W, C) with an (N, W) mask, or a stack of them,
+    whose held-out positions pool into one mean.
+    """
     xtilde = np.asarray(xtilde, dtype=np.float64)
     eval_mask = np.asarray(eval_mask, dtype=np.float64)
     count = int(eval_mask.sum())
     if count == 0:
         raise EmptyMaskError("no held-out positions in this batch")
-    per_position = ad.absolute(xhat - ad.constant(xtilde)).mean(axis=2)
+    per_position = ad.absolute(xhat - ad.constant(xtilde)).mean(axis=-1)
     return ad.masked_select(per_position, eval_mask).sum() * (1.0 / count)
 
 
@@ -110,13 +114,12 @@ class TrainResult:
 
 
 def evaluate_model(model: MagiNet, windows: list[IncompleteWindow]) -> tuple[float, float]:
-    """Pooled RMSE/MAPE over held-out positions, in original units."""
-    preds, truths, masks = [], [], []
-    for w in windows:
-        preds.append(model.predict(w))
-        truths.append(w.ground_truth)
-        masks.append(w.eval_mask)
-    return pooled_metrics(preds, truths, masks)
+    """Pooled RMSE/MAPE over held-out positions, in original units; the
+    windows are predicted ``EVAL_CHUNK`` at a time."""
+    preds = []
+    for start in range(0, len(windows), EVAL_CHUNK):
+        preds.extend(model.predict_batch(windows[start:start + EVAL_CHUNK]))
+    return pooled_metrics(preds, [w.ground_truth for w in windows], [w.eval_mask for w in windows])
 
 
 def train_model(model: MagiNet, train_windows: list[IncompleteWindow],
@@ -149,26 +152,21 @@ def train_model(model: MagiNet, train_windows: list[IncompleteWindow],
             batch = [train_norm[i] for i in order[start:start + cfg.batch_size]]
             if cfg.hide_fraction > 0.0:
                 batch = [hide_observed(w, cfg.hide_fraction, rng) for w in batch]
-            counts = [w.held_out_count() for w in batch]
-            total = sum(counts)
-            if total == 0:
+            live = [w for w in batch if w.held_out_count()]
+            if not live:
                 continue  # nothing to supervise in this batch
-            pieces = []
-            for w in batch:
-                if w.held_out_count() == 0:
-                    continue
-                out = model.forward(w.x, w.m)
-                per_position = ad.absolute(out - ad.constant(w.ground_truth)).mean(axis=2)
-                pieces.append(ad.masked_select(per_position, w.eval_mask).sum())
-            batch_abs = pieces[0] if len(pieces) == 1 else sum(pieces[1:], pieces[0])
-            loss = batch_abs * (1.0 / total)
+            held_out = np.stack([w.eval_mask for w in live])
+            out = model.forward(np.stack([w.x for w in live]), np.stack([w.m for w in live]))
+            loss = masked_l1_loss(out, np.stack([w.ground_truth for w in live]), held_out)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 diverged = True
                 break
             model.params.zero_grads()
             loss.backward()
+            del out, loss  # free this batch's tape before the next one is built
             optimizer.step()
+            total = int(held_out.sum())
             epoch_abs_sum += loss_value * total
             epoch_count += total
         if diverged:

@@ -190,6 +190,17 @@ def test_backward_accumulates_until_zeroed():
     assert np.allclose(x.grad, 6.0)
 
 
+def test_backward_keeps_gradients_on_leaves_only():
+    # y = x*x + 3x at x = 2: dy/dx = 2x + 3 = 7; the intermediates keep none
+    x = ad.parameter(2.0)
+    sq = x * x
+    lin = x * 3.0
+    y = sq + lin
+    y.backward()
+    assert np.allclose(x.grad, 7.0)
+    assert sq.grad is None and lin.grad is None and y.grad is None
+
+
 def test_backward_diamond_reuse():
     # y = x*x + x*x: the shared node's gradient must be counted twice
     x = ad.parameter(2.0)
@@ -269,6 +280,56 @@ def test_grad_add_sub_mul_suffix():
 def test_grad_matmul_batched():
     a, b = rand_leaf(2, 3, 4), rand_leaf(4, 5)
     _assert_grads(lambda: ad.matmul(a, b).mean(), {"a": a, "b": b})
+
+
+def test_matmul_weight_product_matches_numpy_per_slice():
+    a = RNG.standard_normal((3, 4, 5, 6))
+    b = RNG.standard_normal((6, 2))
+    out = ad.matmul(ad.constant(a), ad.constant(b)).data
+    assert out.shape == (3, 4, 5, 2)
+    assert np.allclose(out, np.einsum("ijkl,lm->ijkm", a, b), atol=1e-12)
+
+
+def test_grad_matmul_weight_product_four_dims():
+    a, b = rand_leaf(2, 3, 4, 5), rand_leaf(5, 3)
+    w = ad.constant(RNG.standard_normal((2, 3, 4, 3)))
+    _assert_grads(lambda: (ad.matmul(a, b) * w).sum(), {"a": a, "b": b})
+
+
+def test_matmul_constant_operand_gets_no_gradient():
+    a, b = ad.constant(RNG.standard_normal((2, 3, 4))), rand_leaf(4, 2)
+    ad.matmul(a, b).sum().backward()
+    assert a.grad is None
+    assert np.allclose(b.grad, a.data.reshape(-1, 4).sum(axis=0)[:, None] * np.ones((1, 2)))
+
+
+def test_grad_scale_by_broadcasts_over_a_batch():
+    # a (3, 4) leaf scaled by a (2, 3, 1) factor: the result is (2, 3, 4)
+    x = rand_leaf(3, 4)
+    factor = RNG.standard_normal((2, 3, 1))
+    w = ad.constant(RNG.standard_normal((2, 3, 4)))
+    assert ad.scale_by(x, factor).shape == (2, 3, 4)
+    _assert_grads(lambda: (ad.scale_by(x, factor) * w).sum(), {"x": x})
+
+
+def test_scale_by_rejects_shapes_that_do_not_broadcast():
+    with pytest.raises(ShapeError):
+        ad.scale_by(ad.constant(np.ones((2, 3))), np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+def test_conv1d_batch_axis_matches_per_slice(padding):
+    x = RNG.standard_normal((3, 2, 6, 3))
+    k = ad.constant(RNG.standard_normal((3, 3, 4)))
+    out = ad.conv1d_time(ad.constant(x), k, padding).data
+    for b in range(3):
+        assert np.array_equal(out[b], ad.conv1d_time(ad.constant(x[b]), k, padding).data)
+
+
+def test_grad_conv1d_batch_axis():
+    x, k = rand_leaf(2, 2, 6, 3), rand_leaf(3, 3, 4)
+    w = ad.constant(RNG.standard_normal((2, 2, 6, 4)))
+    _assert_grads(lambda: (ad.conv1d_time(x, k, "same") * w).sum(), {"x": x, "k": k})
 
 
 def test_grad_softmax():

@@ -223,6 +223,32 @@ def test_impute_fills_masked_positions(tmp_path):
     assert np.array_equal(filled.values[~hidden], raw.values[~hidden])
 
 
+def test_impute_tail_steps_are_imputed_not_copied(tmp_path):
+    # 125 steps at W=12: ten full windows, then 5 steps only a
+    # right-aligned window covers
+    series_path, adj = generate_tiny(tmp_path, nodes=6, steps=125)
+    values = np.array(data.load_series_csv(series_path).values)
+    values[2, 118:124, :] = np.nan  # natively missing, partly in the tail
+    values[4, 3:6, :] = np.nan
+    series = data.SeriesMatrix(values=values)
+    data.save_series_csv(series_path, series)
+    mask = data.draw_eval_mask(series, 0.5, seed=1)
+    data.save_mask_csv(tmp_path / "mask.csv", mask, seed=1, ratio=0.5)
+    out = tmp_path / "run"
+    base = ["--series", str(series_path), "--adj", str(adj), "--mask", str(tmp_path / "mask.csv")]
+    assert run(["train"] + base + ["--out", str(out)] + TRAIN_FAST) == 0
+    imp_dir = tmp_path / "imp"
+    assert run(["impute"] + base + ["--checkpoint", str(out / "checkpoint.json"),
+                                    "--out", str(imp_dir)]) == 0
+    filled = data.load_series_csv(imp_dir / "imputed.csv").values
+    held_out = mask == 1
+    unobserved = held_out | np.isnan(values).any(axis=2)
+    assert held_out[:, 120:].any() and np.isnan(values[:, 120:]).any()
+    assert not (filled[held_out] == values[held_out]).all(axis=-1).any()
+    assert np.isfinite(filled[unobserved]).all()
+    assert np.array_equal(filled[~unobserved], values[~unobserved])
+
+
 # ---------------------------------------------------------------- eval
 
 
@@ -287,6 +313,14 @@ def test_sweep_deterministic_reports(tmp_path):
         lines = (out / "sweep_report.csv").read_text().splitlines()[2:]
         reports.append([",".join(line.split(",")[:-1]) for line in lines])  # drop runtime
     assert reports[0] == reports[1]
+
+
+def test_sweep_with_empty_test_split_names_it(tmp_path, capsys):
+    # 96 steps at W=12: 8 windows, floor(0.1 x 8) = 0 of them in the test split
+    series, adj = generate_tiny(tmp_path, steps=96)
+    assert run(["sweep", "--series", str(series), "--adj", str(adj), "--ratios", "0.5",
+                "--methods", "mean", "--out", str(tmp_path / "sweep")]) == 2
+    assert "no windows in the test split" in capsys.readouterr().err
 
 
 def test_ablate_writes_variant_rows(tmp_path):

@@ -150,6 +150,20 @@ def test_knn_falls_back_to_mean_when_no_neighbor_observed():
     assert xhat[0, 2, 0] == 3.0  # node 0's own observed mean
 
 
+def test_knn_builds_the_mean_fallback_only_when_needed(monkeypatch):
+    values = np.array([[[5.0], [8.0], [3.0]], [[5.0], [8.0], [3.0]]])
+    m = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    ev = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    calls = []
+    real = evaluation.mean_baseline
+    monkeypatch.setattr(evaluation, "mean_baseline", lambda w: calls.append(w) or real(w))
+    evaluation.knn_baseline(window_from(values, m, ev), k=1)
+    assert calls == []  # every hidden entry has an observed neighbour
+    lonely = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])  # nobody observed at t=1
+    evaluation.knn_baseline(window_from(values, lonely, ev), k=1)
+    assert len(calls) == 1
+
+
 def test_knn_rejects_k_at_node_count():
     w = window_from(np.ones((3, 2, 1)), np.ones((3, 2)), np.zeros((3, 2)))
     with pytest.raises(ContractError):

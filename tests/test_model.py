@@ -9,6 +9,7 @@ from maginet.data import IncompleteWindow
 from maginet.errors import ContractError, InputError
 from maginet.gradcheck import check_gradients
 from maginet.graph import TrafficGraph, build_basis
+from maginet.training import masked_l1_loss
 
 RNG = np.random.default_rng(77)
 
@@ -471,3 +472,117 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     with pytest.raises(InputError) as err:
         other.params.load_state(mm.load_checkpoint(path, model.graph).params.state())
     assert "encoder.missing_embed" in str(err.value)
+
+
+# ---------------------------------------------------------------- batched forward
+
+
+def batch_windows(n=5, width=8):
+    """Three windows with different observation patterns: window 1 has a
+    node it never observes, window 2 is almost fully observed."""
+    ws = [random_window(n=n, width=width, seed=41),
+          random_window(n=n, width=width, seed=42, observed_ratio=0.5),
+          random_window(n=n, width=width, seed=43, observed_ratio=0.95)]
+    m = np.array(ws[1].m)
+    m[2, :] = 0.0
+    x = np.where(m[:, :, None] == 1.0, ws[1].x, 0.0)
+    ws[1] = IncompleteWindow(x=x, m=m, eval_mask=ws[1].eval_mask,
+                             ground_truth=ws[1].ground_truth, window_start=0)
+    return ws
+
+
+def stacked(windows, attr):
+    return np.stack([getattr(w, attr) for w in windows])
+
+
+BATCH_CONFIGS = [{}, {"mask_mode": "multiply"}] + [
+    {"ablations": frozenset({toggle})} for toggle in sorted(mm.ABLATIONS)]
+
+
+@pytest.mark.parametrize("over", BATCH_CONFIGS,
+                         ids=["default", "multiply"] + sorted(mm.ABLATIONS))
+def test_batched_forward_matches_per_window(over):
+    # the default architecture (two blocks, three heads, kernels 3 and 5)
+    model = mm.MagiNet(mm.ModelConfig(**over), ring(5), width=8, n_features=1, seed=3)
+    ws = batch_windows()
+    truth, held_out = stacked(ws, "ground_truth"), stacked(ws, "eval_mask")
+
+    def grads(build_out):
+        model.params.zero_grads()
+        out = build_out()
+        loss = masked_l1_loss(out, truth, held_out)
+        loss.backward()
+        return out.data, {name: t.grad.copy() for name, t in model.params.items()
+                          if t.grad is not None}
+
+    internals, per_window = {}, [{} for _ in ws]
+    batched, batched_grads = grads(
+        lambda: model.forward(stacked(ws, "x"), stacked(ws, "m"), internals))
+    single, single_grads = grads(lambda: ad.stack(
+        [model.forward(w.x, w.m, seen) for w, seen in zip(ws, per_window)], axis=0))
+    assert batched.shape == (3, 5, 8, 1)
+    assert np.allclose(batched, single, rtol=0.0, atol=1e-10)
+    # internals too: with no_mastatt the temporal weights never reach the output
+    for key, entries in internals.items():
+        for i, entry in enumerate(entries):
+            expected = np.stack([seen[key][i] for seen in per_window])
+            assert np.allclose(entry, expected, rtol=0.0, atol=1e-10), key
+    assert batched_grads.keys() == single_grads.keys() and batched_grads
+    for name, g in batched_grads.items():
+        assert np.allclose(g, single_grads[name], rtol=0.0, atol=1e-10), name
+
+
+def test_batched_forward_gradients_match_finite_differences():
+    model = make_model(n=4, width=8)
+    ws = batch_windows(n=4, width=8)[:2]
+
+    def loss():
+        out = model.forward(stacked(ws, "x"), stacked(ws, "m"))
+        return masked_l1_loss(out, stacked(ws, "ground_truth"), stacked(ws, "eval_mask"))
+
+    errors = check_gradients(loss, dict(model.params.items()))
+    assert max(errors.values()) < 1e-4, errors
+
+
+def test_batched_forward_masked_input_invariance():
+    model = mm.MagiNet(mm.ModelConfig(), ring(5), width=8, n_features=1, seed=3)
+    ws = batch_windows()
+    x, m = stacked(ws, "x"), stacked(ws, "m")
+    with ad.no_grad():
+        base = model.forward(x, m).data
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        fuzzed = np.array(x)
+        fuzzed[1] += rng.uniform(-50, 50, x[1].shape) * (m[1][:, :, None] == 0.0)
+        with ad.no_grad():
+            assert np.array_equal(model.forward(fuzzed, m).data, base)
+
+
+def test_single_window_keeps_unbatched_shapes():
+    model = make_model(n=5, width=6, c=2, blocks=2)
+    cfg = model.config
+    w = random_window(n=5, width=6, c=2)
+    internals = {}
+    out = model.forward(w.x, w.m, internals)
+    assert out.shape == (5, 6, 2)
+    assert [a.shape for a in internals["temporal_weights"]] == [(5, cfg.heads, 6, 6)] * 2
+    assert [a.shape for a in internals["temporal_scores"]] == [(5, cfg.heads, 6, 6)] * 2
+    assert [a.shape for a in internals["spatial_weights"]] == [(cfg.heads, 5, 5)] * 2
+    assert [a.shape for a in internals["conv_residual"]] == [(5, 6, cfg.d)] * 2
+    h = mm.amst_encode(w.x, w.m, model.params, cfg)
+    heads = mm.spatial_attention(h, w.m, model.params, cfg, 0)
+    assert [s.shape for s in heads] == [(5, 5)] * cfg.heads
+    assert mm.graph_conv(h, heads, model.basis, model.params, cfg, 0).shape == (5, 6, cfg.d)
+    # a stack of two windows gains the leading axis everywhere
+    batch = {}
+    model.forward(np.stack([w.x, w.x]), np.stack([w.m, w.m]), batch)
+    assert batch["temporal_weights"][0].shape == (2, 5, cfg.heads, 6, 6)
+    assert batch["spatial_weights"][0].shape == (2, cfg.heads, 5, 5)
+    assert np.array_equal(batch["spatial_weights"][0][1], internals["spatial_weights"][0])
+
+
+def test_forward_rejects_mask_not_matching_batch():
+    model = make_model(n=4, width=8)
+    w = random_window(n=4, width=8)
+    with pytest.raises(ContractError):
+        model.forward(np.stack([w.x, w.x]), w.m)

@@ -173,13 +173,13 @@ def test_train_divergence_keeps_last_good_state():
     model, train_ws, valid_ws, _ = tiny_setup(seed=7)
     cfg = training.TrainConfig(learning_rate=1e-3, epochs=10, batch_size=4, patience=10, seed=7)
     real_forward = model.forward
-    calls = {"n": 0}
-    epoch_calls = len(train_ws) + len(valid_ws)  # training + validation forwards
+    windows = {"n": 0}
+    epoch_windows = len(train_ws) + len(valid_ws)  # training + validation windows
 
     def flaky_forward(x, m, internals=None):
-        calls["n"] += 1
+        windows["n"] += 1 if np.ndim(m) == 2 else len(m)  # one window or a stack
         out = real_forward(x, m, internals)
-        if calls["n"] > epoch_calls:  # epoch 2 onward produces NaN
+        if windows["n"] > epoch_windows:  # epoch 2 onward produces NaN
             out.data = np.full_like(out.data, np.nan)
         return out
 
@@ -230,8 +230,9 @@ def _spy_forward(model):
     calls = []
     real_forward = model.forward
 
-    def spy(x, m, internals=None):
-        calls.append((np.array(x), np.array(m)))
+    def spy(x, m, internals=None):  # records each window passed, alone or in a stack
+        x, m = np.array(x), np.array(m)
+        calls.extend([(x, m)] if m.ndim == 2 else zip(x, m))
         return real_forward(x, m, internals)
 
     model.forward = spy
