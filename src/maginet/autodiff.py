@@ -594,16 +594,16 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     if t.ndim < 1 or t.shape[-1] < 1:
         raise ShapeError(f"softmax_lastdim needs a nonempty last axis, got shape {t.shape}")
     d = t.data
-    if np.isnan(d).any():
+    rowmax = np.max(d, axis=-1, keepdims=True)  # NaN if the row holds one, else +inf if it does
+    if np.isnan(rowmax).any():
         raise NumericError("softmax input contains NaN")
-    if np.isposinf(d).any():
+    if np.isposinf(rowmax).any():
         raise NumericError("softmax input contains +inf")
-    rowmax = np.max(d, axis=-1, keepdims=True)
     shift = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    with np.errstate(invalid="ignore"):
-        e = np.exp(d - shift)
+    e = np.exp(d - shift)
     total = e.sum(axis=-1, keepdims=True)
-    y = np.divide(e, total, out=np.zeros_like(e), where=total > 0)
+    # total is 0 only on an all -inf row, whose e is all zeros
+    y = e / np.where(total > 0, total, 1.0)
 
     def rule(g):
         inner = (g * y).sum(axis=-1, keepdims=True)

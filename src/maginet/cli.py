@@ -364,9 +364,8 @@ def cmd_eval(args) -> int:
     note = _provenance(args, cfg.seed)
     for method in methods:
         start = time.perf_counter()
-        if method in ("mean", "knn"):
-            preds = [evaluation.mean_baseline(w) if method == "mean"
-                     else evaluation.knn_baseline(w, cfg.knn_k) for w in chosen]
+        if method in evaluation.BASELINES:
+            preds = evaluation.baseline_predictions(method, chosen, cfg.knn_k)
         elif method == "maginet":
             model = load_checkpoint(_require(args.checkpoint, "checkpoint"), graph)
             preds = [model.predict(w) for w in chosen]

@@ -329,21 +329,20 @@ def generate_synthetic(n_nodes: int, n_steps: int, graph: TrafficGraph, seed: in
 # -- CSV formats ---------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return "" if math.isnan(value) else repr(float(value))
-
-
 def save_series_csv(path, series: SeriesMatrix, comment: str | None = None) -> None:
-    """Header node{i}_f{j} (nodes repeated per feature), one row per step."""
-    n, steps, c = series.n_nodes, series.n_steps, series.n_features
+    """Header node{i}_f{j} (nodes repeated per feature), one row per step.
+
+    Cells hold ``repr`` of each value; a missing (NaN) value is an empty cell.
+    """
+    n, c = series.n_nodes, series.n_features
     with open(path, "w", newline="") as handle:
         if comment:
             handle.write(f"# {comment}\n")
         header = [f"node{i}_f{j}" for j in range(c) for i in range(n)]
         handle.write(",".join(header) + "\n")
-        for t in range(steps):
-            cells = [_fmt(series.values[i, t, j]) for j in range(c) for i in range(n)]
-            handle.write(",".join(cells) + "\n")
+        # "nan" is the only repr of a float that contains that substring
+        for step in series.values.transpose(1, 2, 0):  # (features, nodes) at each step
+            handle.write(",".join(map(repr, step.ravel().tolist())).replace("nan", "") + "\n")
 
 
 _COLUMN = re.compile(r"^node(\d+)_f(\d+)$")
@@ -384,14 +383,14 @@ def load_series_csv(path) -> SeriesMatrix:
 def save_mask_csv(path, mask: np.ndarray, seed: int, ratio: float, comment: str | None = None) -> None:
     """Persist an eval mask (nodes x steps), one row per step like the series."""
     mask = np.asarray(mask)
-    n, steps = mask.shape
+    n, _ = mask.shape
     with open(path, "w", newline="") as handle:
         if comment:
             handle.write(f"# {comment}\n")
         handle.write(f"# seed={seed} ratio={repr(float(ratio))}\n")
         handle.write(",".join(f"node{i}" for i in range(n)) + "\n")
-        for t in range(steps):
-            handle.write(",".join(str(int(mask[i, t])) for i in range(n)) + "\n")
+        for row in mask.T:
+            handle.write(",".join(map(str, map(int, row.tolist()))) + "\n")
 
 
 def load_mask_csv(path) -> tuple[np.ndarray, int | None, float | None]:

@@ -83,6 +83,14 @@ def test_softmax_nan_input_rejected():
         ad.softmax_lastdim(ad.constant([np.nan, 0.0]))
 
 
+def test_softmax_nan_outranks_posinf_in_another_row():
+    x = np.array([[0.0, np.inf], [np.nan, 0.0], [1.0, -np.inf]])
+    with pytest.raises(NumericError, match="NaN"):
+        ad.softmax_lastdim(ad.constant(x))
+    with pytest.raises(NumericError, match=r"\+inf"):
+        ad.softmax_lastdim(ad.constant(x[[0, 2]]))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
 def test_softmax_rows_sum_to_one(row):

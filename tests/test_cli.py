@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from maginet import cli, data
+from maginet import cli, data, evaluation
 from maginet.errors import InputError
 from maginet.evaluation import rmse as rmse_metric
 from maginet.graph import TrafficGraph
@@ -332,6 +332,17 @@ def test_ablate_writes_variant_rows(tmp_path):
                 "--config", str(_fast_config(tmp_path))]) == 0
     rows = (out / "ablation_report.csv").read_text().splitlines()
     assert rows[2].startswith("MagiNet,") and rows[3].startswith("w/o MASTdec,")
+
+
+def test_ablate_with_empty_test_split_names_it_before_training(tmp_path, capsys, monkeypatch):
+    # 96 steps at W=12: 8 windows, floor(0.1 x 8) = 0 of them in the test split
+    series, adj = generate_tiny(tmp_path, steps=96)
+    trained = []
+    monkeypatch.setattr(evaluation, "train_and_score", lambda *a, **kw: trained.append(a))
+    assert run(["ablate", "--series", str(series), "--adj", str(adj), "--ratio", "0.5",
+                "--out", str(tmp_path / "abl"), "--config", str(_fast_config(tmp_path))]) == 2
+    assert "no windows in the test split" in capsys.readouterr().err
+    assert trained == []
 
 
 def _fast_config(tmp_path):

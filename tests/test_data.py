@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +203,30 @@ def test_series_roundtrip(tmp_path):
     assert np.isnan(loaded.values[1, 2, 0])
 
 
+def _series_csv_cell_by_cell(series, comment):
+    # the series format written one cell at a time: the reference for save_series_csv
+    n, steps, c = series.n_nodes, series.n_steps, series.n_features
+    lines = [f"# {comment}", ",".join(f"node{i}_f{j}" for j in range(c) for i in range(n))]
+    for t in range(steps):
+        cells = [series.values[i, t, j] for j in range(c) for i in range(n)]
+        lines.append(",".join("" if math.isnan(v) else repr(float(v)) for v in cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_series_csv_bytes_match_the_cell_by_cell_format(tmp_path):
+    vals = np.random.default_rng(4).normal(0.0, 50.0, (3, 6, 2))
+    vals[0, 0] = [-0.0, 0.0]
+    vals[1, 1] = [1e-05, 1e16]
+    vals[2, 2] = [-2.5e-300, 123456789.125]
+    vals[0, 3] = vals[2, 5] = np.nan  # both features missing together
+    series = data.SeriesMatrix(values=vals)
+    path = tmp_path / "series.csv"
+    data.save_series_csv(path, series, comment="bytes")
+    written = path.read_bytes()
+    assert written == _series_csv_cell_by_cell(series, "bytes")
+    assert b"-0.0," in written and b"1e-05" in written and b"1e+16" in written and b",," in written
+
+
 def test_series_empty_cell_is_missing(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("node0_f0,node1_f0\n1.5,\nNaN,2.5\n")
@@ -224,3 +250,13 @@ def test_mask_roundtrip(tmp_path):
     loaded, seed, ratio = data.load_mask_csv(path)
     assert np.array_equal(loaded, mask)
     assert seed == 21 and ratio == 0.5
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, float])
+def test_mask_csv_bytes_match_the_cell_by_cell_format(tmp_path, dtype):
+    mask = (np.random.default_rng(5).random((4, 7)) < 0.5).astype(dtype)
+    path = tmp_path / "mask.csv"
+    data.save_mask_csv(path, mask, seed=3, ratio=0.25)
+    rows = ["# seed=3 ratio=0.25", "node0,node1,node2,node3"]
+    rows += [",".join(str(int(mask[i, t])) for i in range(4)) for t in range(7)]
+    assert path.read_text() == "\n".join(rows) + "\n"

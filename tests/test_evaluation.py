@@ -184,6 +184,54 @@ def test_baselines_never_read_held_out_truth():
     assert np.array_equal(evaluation.knn_baseline(w, 2), evaluation.knn_baseline(w2, 2))
 
 
+def knn_by_entry(window, k):
+    # one hidden entry at a time: the reference knn_baseline must match
+    dist = evaluation.node_distances(window)
+    fallback = evaluation.mean_baseline(window)
+    out = np.array(window.x)
+    order = np.argsort(dist, axis=1, kind="stable")
+    for i in range(window.n_nodes):
+        ranked = [j for j in order[i] if np.isfinite(dist[i, j])]
+        for t in np.flatnonzero(window.m[i] == 0.0):
+            neighbors = [j for j in ranked if window.m[j, t] == 1.0][:k]
+            out[i, t, :] = window.x[neighbors, t, :].mean(axis=0) if neighbors else fallback[i, t, :]
+    return out
+
+
+def random_knn_window(rng):
+    n, width, c = int(rng.integers(3, 12)), int(rng.integers(1, 8)), int(rng.integers(1, 3))
+    values = np.round(rng.uniform(-1.0, 1.0, (n, width, c)), 1)  # one decimal: distances tie
+    m = (rng.random((n, width)) < rng.uniform(0.3, 0.9)).astype(float)
+    m[rng.integers(n)] = 0.0  # out for the whole window: every hidden entry falls back
+    a, b = rng.choice(n, 2, replace=False)
+    m[b] = 1.0 - m[a]  # never observed together: infinite distance
+    m[rng.integers(n), rng.integers(width)] = 1.0
+    ev = (1.0 - m) * (rng.random((n, width)) < 0.7)
+    return window_from(values, m, ev)
+
+
+def test_knn_matches_the_per_entry_loop_on_random_windows():
+    rng = np.random.default_rng(11)
+    seen = {"windows": 0, "tied": 0, "unreachable": 0, "fallback": 0, "k >= 8": 0}
+    while seen["windows"] < 200:
+        w = random_knn_window(rng)
+        dist = evaluation.node_distances(w)
+        seen["windows"] += 1
+        seen["tied"] += any(len(np.unique(row[np.isfinite(row)])) < np.isfinite(row).sum()
+                            for row in dist)
+        seen["unreachable"] += not np.isfinite(dist[~np.eye(w.n_nodes, dtype=bool)]).all()
+        seen["fallback"] += bool(((w.m == 0.0) & (w.m.sum(axis=1) == 0.0)[:, None]).any())
+        for k in range(1, w.n_nodes):
+            want, got = knn_by_entry(w, k), evaluation.knn_baseline(w, k)
+            if k <= 7:  # np.mean adds up to 7 rows in rank order, as knn_baseline does
+                assert got.tobytes() == want.tobytes(), (seen["windows"], k)
+            else:  # numpy sums 8 rows pairwise; a mean that cancels to ~0 needs the values' scale
+                seen["k >= 8"] += 1
+                scale = np.abs(w.x).max()
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale), (seen["windows"], k)
+    assert min(seen.values()) > 0, seen
+
+
 # ---------------------------------------------------------------- reports and sweeps
 
 
