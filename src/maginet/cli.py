@@ -34,7 +34,7 @@ from .errors import (
 )
 from .graph import TrafficGraph, load_adjacency, save_adjacency
 from .model import MagiNet, ModelConfig, load_checkpoint, save_checkpoint
-from .training import TrainConfig, evaluate_model, history_rows, train_model
+from .training import TrainConfig, evaluate_model, history_rows, predict_windows, train_model
 
 
 class UsageError(MagiNetError):
@@ -368,7 +368,7 @@ def cmd_eval(args) -> int:
             preds = evaluation.baseline_predictions(method, chosen, cfg.knn_k)
         elif method == "maginet":
             model = load_checkpoint(_require(args.checkpoint, "checkpoint"), graph)
-            preds = [model.predict(w) for w in chosen]
+            preds = predict_windows(model, chosen)
         else:
             raise InputError(f"unknown method {method!r}")
         m_rmse, m_mape = evaluation.pooled_metrics(

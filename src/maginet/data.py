@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,42 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
             elif raw:
                 rows.append(raw)
     return comments, rows
+
+
+def _read_lines(path) -> tuple[list[str], list[str]]:
+    """``_read_rows`` with each data row left as its line, for the bulk readers.
+
+    In a file with no quote character, csv.reader ends a row at every line
+    end and a cell at every comma, so the lines are the rows. A file that
+    quotes gives no lines, which sends it to the cell-by-cell reader.
+    """
+    with open(path) as handle:  # universal newlines end lines where csv.reader ends rows
+        text = handle.read()
+    if '"' in text:
+        return [], []
+    lines = [line for line in text.split("\n") if line]
+    start = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    return lines[:start], lines[start:]
+
+
+def _bulk_cells(lines: list[str], width: int, dtype) -> np.ndarray | None:
+    """The (rows, width) cells of comma-separated lines from one np.loadtxt
+    call, or None when it rejects a cell or a row is not ``width`` long.
+
+    np.loadtxt accepts a subset of what Python's ``float`` and ``int``
+    accept and gives the same values; a cell outside that subset (``1_000``,
+    a whitespace-only cell) sends the file to the cell-by-cell reader.
+    """
+    if not lines:
+        return None
+    with warnings.catch_warnings():
+        # older numpy releases read "1.0" into an int dtype, with only a DeprecationWarning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            cells = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning):
+            return None
+    return cells if cells.shape == (len(lines), width) else None
 
 
 @dataclass(frozen=True)
@@ -348,13 +385,10 @@ def save_series_csv(path, series: SeriesMatrix, comment: str | None = None) -> N
 _COLUMN = re.compile(r"^node(\d+)_f(\d+)$")
 
 
-def load_series_csv(path) -> SeriesMatrix:
-    _, rows = _read_rows(path)
-    if not rows:
-        raise InputError(f"{path}: empty series file")
-    header = [c.strip() for c in rows[0]]
+def _series_columns(path, header: list[str]) -> list[tuple[int, int]]:
+    """(node, feature) of each column; the header must cover the full grid."""
     parsed = []
-    for col in header:
+    for col in (c.strip() for c in header):
         m = _COLUMN.match(col)
         if not m:
             raise InputError(f"{path}: unrecognized column name {col!r}")
@@ -363,11 +397,50 @@ def load_series_csv(path) -> SeriesMatrix:
     c = max(p[1] for p in parsed) + 1
     if len(parsed) != n * c or sorted(parsed) != [(i, j) for i in range(n) for j in range(c)]:
         raise InputError(f"{path}: header does not cover a full node x feature grid")
-    steps = len(rows) - 1
-    values = np.full((n, steps, c), np.nan)
+    return parsed
+
+
+_EMPTY_CELL = re.compile(",(?=,)")  # a comma followed by another closes an empty cell
+
+
+def _spell_missing(lines: list[str]) -> list[str]:
+    """The lines with every empty cell spelled ``nan``, which np.loadtxt reads."""
+    # in ",line," every cell lies between two commas
+    return [_EMPTY_CELL.sub(",nan", f",{line},")[1:-1] for line in lines]
+
+
+def load_series_csv(path) -> SeriesMatrix:
+    """Read ``save_series_csv``'s format; README.md "File formats" gives the cell grammar.
+
+    The body is converted in one np.loadtxt call. A file that call cannot
+    read (quoted or whitespace-only cells, spellings only ``float`` accepts,
+    malformed rows) is read cell by cell, which also names a bad cell's row
+    and column; both give the same values.
+    """
+    _, lines = _read_lines(path)
+    if lines:
+        columns = _series_columns(path, lines[0].split(","))
+        cells = _bulk_cells(_spell_missing(lines[1:]), len(columns), np.float64)
+        if cells is not None:
+            nodes, feats = (np.array(axis) for axis in zip(*columns))
+            values = np.empty((nodes.max() + 1, len(cells), feats.max() + 1))
+            values[nodes, :, feats] = cells.T
+            return SeriesMatrix(values=values)
+    return _load_series_by_cell(path)
+
+
+def _load_series_by_cell(path) -> SeriesMatrix:
+    """``load_series_csv`` through csv.reader and one ``float`` per cell."""
+    _, rows = _read_rows(path)
+    if not rows:
+        raise InputError(f"{path}: empty series file")
+    parsed = _series_columns(path, rows[0])
+    n = max(p[0] for p in parsed) + 1
+    c = max(p[1] for p in parsed) + 1
+    values = np.full((n, len(rows) - 1, c), np.nan)
     for t, row in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise InputError(f"{path}: row {t + 2} has {len(row)} cells, expected {len(header)}")
+        if len(row) != len(parsed):
+            raise InputError(f"{path}: row {t + 2} has {len(row)} cells, expected {len(parsed)}")
         for k, cell in enumerate(row):
             token = cell.strip()
             if token.lower() in MISSING_TOKENS:
@@ -393,13 +466,33 @@ def save_mask_csv(path, mask: np.ndarray, seed: int, ratio: float, comment: str 
             handle.write(",".join(map(str, map(int, row.tolist()))) + "\n")
 
 
-def load_mask_csv(path) -> tuple[np.ndarray, int | None, float | None]:
-    comments, rows = _read_rows(path)
+def _mask_provenance(comments: list[str]) -> tuple[int | None, float | None]:
     seed = ratio = None
     for line in comments:
         m = re.search(r"seed=(-?\d+)\s+ratio=([-+0-9.eE]+)", line)
         if m:
             seed, ratio = int(m.group(1)), float(m.group(2))
+    return seed, ratio
+
+
+def load_mask_csv(path) -> tuple[np.ndarray, int | None, float | None]:
+    """Read ``save_mask_csv``'s format: the (nodes, steps) int8 mask, seed, ratio.
+
+    Cells are parsed as int64 in one np.loadtxt call and checked for 0/1
+    before narrowing. A file that call cannot read, or that holds another
+    value, is read cell by cell, which names the bad row.
+    """
+    comments, lines = _read_lines(path)
+    cells = _bulk_cells(lines[1:], lines[0].count(",") + 1, np.int64) if lines else None
+    if cells is None or not np.isin(cells, (0, 1)).all():
+        return _load_mask_by_cell(path)
+    return cells.astype(np.int8).T, *_mask_provenance(comments)
+
+
+def _load_mask_by_cell(path) -> tuple[np.ndarray, int | None, float | None]:
+    """``load_mask_csv`` through csv.reader and one ``int`` per cell."""
+    comments, rows = _read_rows(path)
+    seed, ratio = _mask_provenance(comments)
     if not rows:
         raise InputError(f"{path}: empty mask file")
     n = len(rows[0])
@@ -408,10 +501,10 @@ def load_mask_csv(path) -> tuple[np.ndarray, int | None, float | None]:
         if len(row) != n:
             raise InputError(f"{path}: row {t + 2} has {len(row)} cells, expected {n}")
         try:
-            data.append([int(cell) for cell in row])
+            cells = [int(cell) for cell in row]
         except ValueError:
-            raise InputError(f"{path}: row {t + 2}: mask cells must be 0/1") from None
-    mask = np.array(data, dtype=np.int8).T
-    if not np.isin(mask, (0, 1)).all():
-        raise InputError(f"{path}: mask cells must be 0/1")
-    return mask, seed, ratio
+            cells = None
+        if cells is None or not {0, 1}.issuperset(cells):
+            raise InputError(f"{path}: row {t + 2}: mask cells must be 0/1")
+        data.append(cells)
+    return np.array(data, dtype=np.int8).T, seed, ratio

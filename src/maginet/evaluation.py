@@ -91,15 +91,23 @@ def mean_baseline(window: IncompleteWindow) -> np.ndarray:
     return np.where(m3 == 1.0, window.x, node_mean[:, None, :])
 
 
+NODE_BLOCK = 16  # distance rows built at a time: bounds the (rows, N, W, C) temporaries
+
+
 def node_distances(window: IncompleteWindow) -> np.ndarray:
     """Root-mean-square distance over co-observed steps; inf when none."""
-    m = window.m
-    co = m[:, None, :] * m[None, :, :]                       # (N, N, W)
-    diff = window.x[:, None, :, :] - window.x[None, :, :, :]  # (N, N, W, C)
-    sq = (diff * diff).sum(axis=3) * co
-    count = co.sum(axis=2)
+    m, x = window.m, window.x
+    n = window.n_nodes
+    sq_sum = np.empty((n, n))
+    count = np.empty((n, n))
+    for lo in range(0, n, NODE_BLOCK):
+        rows = slice(lo, lo + NODE_BLOCK)
+        co = m[rows, None, :] * m[None, :, :]                 # (rows, N, W)
+        diff = x[rows, None, :, :] - x[None, :, :, :]          # (rows, N, W, C)
+        sq_sum[rows] = ((diff * diff).sum(axis=3) * co).sum(axis=2)
+        count[rows] = co.sum(axis=2)
     with np.errstate(invalid="ignore", divide="ignore"):
-        dist = np.sqrt(sq.sum(axis=2) / count)
+        dist = np.sqrt(sq_sum / count)
     dist[count == 0] = np.inf
     np.fill_diagonal(dist, np.inf)  # a node is not its own neighbor
     return dist

@@ -113,12 +113,18 @@ class TrainResult:
     epochs_run: int = 0
 
 
-def evaluate_model(model: MagiNet, windows: list[IncompleteWindow]) -> tuple[float, float]:
-    """Pooled RMSE/MAPE over held-out positions, in original units; the
-    windows are predicted ``EVAL_CHUNK`` at a time."""
+def predict_windows(model: MagiNet, windows: list[IncompleteWindow]) -> list[np.ndarray]:
+    """``model.predict`` of each window, ``EVAL_CHUNK`` windows per forward pass:
+    the one path that predicts windows for metrics."""
     preds = []
     for start in range(0, len(windows), EVAL_CHUNK):
         preds.extend(model.predict_batch(windows[start:start + EVAL_CHUNK]))
+    return preds
+
+
+def evaluate_model(model: MagiNet, windows: list[IncompleteWindow]) -> tuple[float, float]:
+    """Pooled RMSE/MAPE over held-out positions, in original units."""
+    preds = predict_windows(model, windows)
     return pooled_metrics(preds, [w.ground_truth for w in windows], [w.eval_mask for w in windows])
 
 

@@ -7,7 +7,9 @@ import pytest
 from maginet import cli, data, evaluation
 from maginet.errors import InputError
 from maginet.evaluation import rmse as rmse_metric
-from maginet.graph import TrafficGraph
+from maginet.graph import TrafficGraph, load_adjacency
+from maginet.model import load_checkpoint
+from maginet.training import evaluate_model
 
 
 def run(argv):
@@ -284,6 +286,40 @@ def test_eval_writes_traces(tmp_path):
     assert len(files) == 6
     lines = files[0].read_text().splitlines()
     assert lines[1] == "t,ground_truth,imputed,observed"
+
+
+@pytest.mark.parametrize("cell", ["2", "300"])
+def test_eval_out_of_range_mask_cell_exits_2_naming_its_row(tmp_path, capsys, cell):
+    series_path = tmp_path / "s.csv"
+    series_path.write_text("node0_f0,node1_f0\n2.0,1.0\n4.0,1.0\n")
+    adj_path = tmp_path / "a.csv"
+    adj_path.write_text("src,dst,weight\n0,1,1.0\n")
+    mask_path = tmp_path / "m.csv"
+    mask_path.write_text(f"node0,node1\n0,0\n{cell},0\n")
+    code = run(["eval", "--series", str(series_path), "--adj", str(adj_path),
+                "--mask", str(mask_path), "--methods", "mean", "--split", "all",
+                "--width", "2", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "m.csv: row 3: mask cells must be 0/1" in capsys.readouterr().err
+
+
+def test_eval_maginet_rmse_equals_train_test_rmse(tmp_path):
+    # 100 windows of 12 steps: the 10 test windows take two chunks of EVAL_CHUNK
+    series, adj = generate_tiny(tmp_path, steps=1200)
+    out = tmp_path / "run"
+    assert run(["train", "--series", str(series), "--adj", str(adj), "--ratio", "0.5",
+                "--width", "12", "--seed", "2", "--out", str(out)] + TRAIN_FAST) == 0
+    assert run(["eval", "--series", str(series), "--adj", str(adj), "--mask", str(out / "mask.csv"),
+                "--checkpoint", str(out / "checkpoint.json"), "--methods", "maginet",
+                "--width", "12", "--out", str(tmp_path / "o")]) == 0
+    row = (tmp_path / "o" / "report.csv").read_text().splitlines()[2].split(",")
+    cfg = cli.RunConfig(width=12)
+    loaded = data.load_series_csv(series)
+    mask, _, _ = data.load_mask_csv(out / "mask.csv")
+    windows = data.make_windows(loaded, mask, cfg.width, cfg.effective_stride)
+    model = load_checkpoint(out / "checkpoint.json", load_adjacency(adj, loaded.n_nodes))
+    test_rmse, _ = evaluate_model(model, data.split(windows, cfg.fractions)[2])
+    assert row[0] == "maginet" and float(row[4]) == test_rmse
 
 
 # ---------------------------------------------------------------- sweep / ablate

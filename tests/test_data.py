@@ -1,4 +1,6 @@
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -260,3 +262,206 @@ def test_mask_csv_bytes_match_the_cell_by_cell_format(tmp_path, dtype):
     rows = ["# seed=3 ratio=0.25", "node0,node1,node2,node3"]
     rows += [",".join(str(int(mask[i, t])) for i in range(4)) for t in range(7)]
     assert path.read_text() == "\n".join(rows) + "\n"
+
+
+# ---------------------------------------------------------------- csv readers against the cell loop
+
+
+def csv_rows(path):
+    comments, rows = [], []
+    with open(path, newline="") as handle:
+        for raw in csv.reader(handle):
+            if not rows and raw and raw[0].startswith("#"):
+                comments.append(",".join(raw))
+            elif raw:
+                rows.append(raw)
+    return comments, rows
+
+
+def series_by_cell(path):
+    # the series reader one cell at a time: the reference for load_series_csv
+    _, rows = csv_rows(path)
+    if not rows:
+        raise InputError(f"{path}: empty series file")
+    header = [c.strip() for c in rows[0]]
+    parsed = []
+    for col in header:
+        m = re.match(r"^node(\d+)_f(\d+)$", col)
+        if not m:
+            raise InputError(f"{path}: unrecognized column name {col!r}")
+        parsed.append((int(m.group(1)), int(m.group(2))))
+    n = max(p[0] for p in parsed) + 1
+    c = max(p[1] for p in parsed) + 1
+    if len(parsed) != n * c or sorted(parsed) != [(i, j) for i in range(n) for j in range(c)]:
+        raise InputError(f"{path}: header does not cover a full node x feature grid")
+    values = np.full((n, len(rows) - 1, c), np.nan)
+    for t, row in enumerate(rows[1:]):
+        if len(row) != len(header):
+            raise InputError(f"{path}: row {t + 2} has {len(row)} cells, expected {len(header)}")
+        for k, cell in enumerate(row):
+            token = cell.strip()
+            if token.lower() in ("", "nan"):
+                continue
+            node, feat = parsed[k]
+            try:
+                values[node, t, feat] = float(token)
+            except ValueError:
+                raise InputError(f"{path}: row {t + 2} column {k + 1}: non-numeric cell {cell!r}") from None
+    return data.SeriesMatrix(values=values)
+
+
+def mask_by_cell(path):
+    # the mask reader one cell at a time: the reference for load_mask_csv; a
+    # cell outside 0/1 names its row (300 once overflowed int8 instead)
+    comments, rows = csv_rows(path)
+    seed = ratio = None
+    for line in comments:
+        m = re.search(r"seed=(-?\d+)\s+ratio=([-+0-9.eE]+)", line)
+        if m:
+            seed, ratio = int(m.group(1)), float(m.group(2))
+    if not rows:
+        raise InputError(f"{path}: empty mask file")
+    cells = []
+    for t, row in enumerate(rows[1:]):
+        if len(row) != len(rows[0]):
+            raise InputError(f"{path}: row {t + 2} has {len(row)} cells, expected {len(rows[0])}")
+        try:
+            ints = [int(cell) for cell in row]
+        except ValueError:
+            ints = None
+        if ints is None or not {0, 1}.issuperset(ints):
+            raise InputError(f"{path}: row {t + 2}: mask cells must be 0/1")
+        cells.append(ints)
+    return np.array(cells, dtype=np.int8).T, seed, ratio
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except InputError as err:
+        return f"InputError: {err}"
+
+
+MISSING_CELLS = ["", "", " ", "\t", "nan", "NaN", " NAN ", "-nan"]
+ODD_VALUE_CELLS = ["inf", "1_000", "1e+16", "-0.0", '"2.5"', '"1,5"', " 3.25 ", "+4", ".5", "oops",
+                   "0x10", "7#8", "2.5\x0c"]
+ODD_MASK_CELLS = ["2", "-1", "1.0", "300", " 1", "+1", "01", "", "x", '"1"', "1_0", "1#0", "0\x0c"]
+
+
+def fuzz_lines(rng, header, body, comments):
+    """A CSV's text from its rows, with comment lines, blank lines, short and
+    long rows, CRLF or CR line ends and data rows that look like comments."""
+    lines = list(comments) + [",".join(header)]
+    for row in body:
+        row = list(row)
+        if rng.random() < 0.03:
+            row = row[:-1] if len(row) > 1 and rng.random() < 0.5 else row + ["1"]
+        lines.append(",".join(row))
+        if rng.random() < 0.03:
+            lines.append("")
+    if rng.random() < 0.03:
+        lines.insert(len(comments) + 1 + int(rng.integers(len(body) + 1)), "# late comment")
+    lines += [""] * int(rng.integers(3))  # blank trailing lines
+    end = ["\n", "\r\n", "\r"][int(rng.choice(3, p=[0.7, 0.2, 0.1]))]
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+def fuzz_series_file(rng, path):
+    n, c, steps = int(rng.integers(1, 5)), int(rng.integers(1, 3)), int(rng.integers(0, 7))
+    columns = [(i, j) for j in range(c) for i in range(n)]
+    if rng.random() < 0.5:
+        columns = [columns[k] for k in rng.permutation(len(columns))]
+    header = [f"node{i}_f{j}" for i, j in columns]
+    if rng.random() < 0.03:
+        header[-1] = "node9_f0"
+    if rng.random() < 0.05:
+        header[0] = f'"{header[0]}"'
+    odd = rng.random() < 0.4  # a file with odd cells takes the cell loop or must match it
+    body = []
+    for _ in range(steps):
+        missing = {i: MISSING_CELLS[int(rng.integers(len(MISSING_CELLS)))]
+                   for i in range(n) if rng.random() < 0.25}
+        row = []
+        for i, j in columns:
+            if i in missing:
+                row.append(missing[i])
+            elif odd and rng.random() < 0.08:
+                row.append(ODD_VALUE_CELLS[int(rng.integers(len(ODD_VALUE_CELLS)))])
+            else:
+                row.append(repr(float(rng.normal(0.0, 10.0 ** int(rng.integers(-3, 4))))))
+        body.append(row)
+    comments = [["# series", "#series,1.5", '# "quoted'][int(rng.integers(3))] for _ in range(rng.integers(3))]
+    path.write_bytes(fuzz_lines(rng, header, body, comments).encode())
+
+
+def fuzz_mask_file(rng, path):
+    n, steps = int(rng.integers(1, 6)), int(rng.integers(0, 7))
+    odd = rng.random() < 0.4
+    body = [[ODD_MASK_CELLS[int(rng.integers(len(ODD_MASK_CELLS)))]
+             if odd and rng.random() < 0.1 else str(int(rng.integers(2))) for _ in range(n)]
+            for _ in range(steps)]
+    comments = ["# mask"] * int(rng.integers(2)) + ["# seed=3 ratio=0.25"] * int(rng.integers(2))
+    path.write_bytes(fuzz_lines(rng, [f"node{i}" for i in range(n)], body, comments).encode())
+
+
+def test_series_reader_matches_the_cell_loop_on_fuzzed_files(tmp_path, monkeypatch):
+    by_cell = data._load_series_by_cell
+    seen = {"files": 0, "bulk": 0, "by cell": 0, "values": 0, "errors": 0}
+
+    def counted(path):
+        seen["by cell"] += 1
+        return by_cell(path)
+
+    monkeypatch.setattr(data, "_load_series_by_cell", counted)
+    rng = np.random.default_rng(17)
+    path = tmp_path / "s.csv"
+    for _ in range(300):
+        fuzz_series_file(rng, path)
+        before = seen["by cell"]
+        want, got = outcome(series_by_cell, path), outcome(data.load_series_csv, path)
+        seen["files"] += 1
+        seen["bulk"] += seen["by cell"] == before
+        if isinstance(want, str):
+            seen["errors"] += 1
+            assert got == want, path.read_bytes()
+        else:
+            seen["values"] += 1
+            assert not isinstance(got, str), (got, path.read_bytes())
+            assert got.values.shape == want.values.shape, path.read_bytes()
+            assert got.values.tobytes() == want.values.tobytes(), path.read_bytes()
+    assert min(seen.values()) >= 30, seen
+
+
+def test_mask_reader_matches_the_cell_loop_on_fuzzed_files(tmp_path, monkeypatch):
+    by_cell = data._load_mask_by_cell
+    seen = {"files": 0, "bulk": 0, "by cell": 0, "values": 0, "errors": 0}
+
+    def counted(path):
+        seen["by cell"] += 1
+        return by_cell(path)
+
+    monkeypatch.setattr(data, "_load_mask_by_cell", counted)
+    rng = np.random.default_rng(19)
+    path = tmp_path / "m.csv"
+    for _ in range(300):
+        fuzz_mask_file(rng, path)
+        before = seen["by cell"]
+        want, got = outcome(mask_by_cell, path), outcome(data.load_mask_csv, path)
+        seen["files"] += 1
+        seen["bulk"] += seen["by cell"] == before
+        if isinstance(want, str):
+            seen["errors"] += 1
+            assert got == want, path.read_bytes()
+        else:
+            seen["values"] += 1
+            assert not isinstance(got, str), (got, path.read_bytes())
+            assert got[0].dtype == np.int8 and got[0].shape == want[0].shape, path.read_bytes()
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:], path.read_bytes()
+    assert min(seen.values()) >= 30, seen
+
+
+def test_mask_out_of_range_cell_names_its_row(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("node0,node1\n0,1\n1,300\n")
+    with pytest.raises(InputError, match=r"m\.csv: row 3: mask cells must be 0/1"):
+        data.load_mask_csv(path)

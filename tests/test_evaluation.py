@@ -232,6 +232,34 @@ def test_knn_matches_the_per_entry_loop_on_random_windows():
     assert min(seen.values()) > 0, seen
 
 
+def node_distances_unblocked(window):
+    # every row at once: the reference for node_distances' row blocks
+    m = window.m
+    co = m[:, None, :] * m[None, :, :]
+    diff = window.x[:, None, :, :] - window.x[None, :, :, :]
+    sq = (diff * diff).sum(axis=3) * co
+    count = co.sum(axis=2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dist = np.sqrt(sq.sum(axis=2) / count)
+    dist[count == 0] = np.inf
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+@pytest.mark.parametrize("n", [evaluation.NODE_BLOCK - 3, 2 * evaluation.NODE_BLOCK + 5])
+def test_node_distances_match_the_unblocked_formula(n):
+    rng = np.random.default_rng(n)
+    values = np.round(rng.uniform(-1.0, 1.0, (n, 12, 2)), 1)
+    m = (rng.random((n, 12)) < 0.6).astype(float)
+    values[2], m[2] = values[1], m[1]  # a twin: every node ties between nodes 1 and 2
+    m[n - 1] = 1.0 - m[0]  # never observed together: infinite distance
+    w = window_from(values, m, np.zeros_like(m))
+    want, got = node_distances_unblocked(w), evaluation.node_distances(w)
+    assert got.tobytes() == want.tobytes()
+    assert np.isinf(got[0, n - 1]) and np.array_equal(got[3:, 1], got[3:, 2])
+    assert np.isfinite(got[~np.eye(n, dtype=bool)]).sum() > n * (n - 1) // 2
+
+
 # ---------------------------------------------------------------- reports and sweeps
 
 
