@@ -9,7 +9,7 @@ import numpy as np
 from maginet import data
 from maginet.evaluation import evaluate_baseline, imputation_traces
 from maginet.model import MagiNet, ModelConfig
-from maginet.training import TrainConfig, evaluate_model, train_model
+from maginet.training import TrainConfig, evaluate_model, predict_windows, train_model
 
 graph = data.synthetic_graph(8, extra_edges=2, seed=3)
 series = data.generate_synthetic(8, 720, graph, seed=3)
@@ -39,7 +39,7 @@ knn_rmse, _ = evaluate_baseline("knn", test_ws, knn_k=3)
 print(f"\ntest RMSE: model {test_rmse:.4f} | mean {mean_rmse:.4f} | knn {knn_rmse:.4f}")
 
 # Imputation trace for one node: what a plotting tool would consume.
-preds = [model.predict(w) for w in test_ws]
+preds = predict_windows(model, test_ws)
 trace = imputation_traces(test_ws, preds)[0]
 print("\nnode 0, first 8 test steps (t, truth, imputed, observed):")
 for row in trace[:8]:

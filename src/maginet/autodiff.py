@@ -114,9 +114,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -172,14 +169,13 @@ class Tensor:
 
 
 def as_tensor(x) -> Tensor:
+    """Wrap an array as a non-differentiable tensor; a tensor passes through."""
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def constant(x) -> Tensor:
-    """Wrap an array as a non-differentiable tensor."""
-    return as_tensor(x)
+constant = as_tensor
 
 
 def parameter(x) -> Tensor:

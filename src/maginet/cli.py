@@ -18,7 +18,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -93,27 +93,16 @@ class RunConfig:
     def fractions(self) -> tuple[float, float, float]:
         return (self.train_frac, self.valid_frac, self.test_frac)
 
+    def _fields_of(self, target) -> dict:
+        """This config's values of the fields of dataclass ``target``, by name."""
+        return {f.name: getattr(self, f.name) for f in fields(target)}
+
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            d=self.d, heads=self.heads, head_dim=self.head_dim, spatial_dim=self.spatial_dim,
-            cheb_order=self.cheb_order, kernel_sizes=self.kernel_sizes, blocks=self.blocks,
-            spatial_kernel=self.spatial_kernel, mask_mode=self.mask_mode,
-            ablations=frozenset(self.ablations),
-        )
+        return ModelConfig(**self._fields_of(ModelConfig))
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate, epochs=self.epochs, batch_size=self.batch_size,
-            patience=self.patience, seed=self.seed,
-            grad_clip=self.grad_clip if self.grad_clip > 0 else None,
-            hide_fraction=self.hide_fraction,
-        )
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["kernel_sizes"] = list(self.kernel_sizes)
-        out["ablations"] = list(self.ablations)
-        return out
+        return TrainConfig(**{**self._fields_of(TrainConfig),
+                              "grad_clip": self.grad_clip if self.grad_clip > 0 else None})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -138,7 +127,7 @@ class RunConfig:
 
     def to_file(self, path) -> None:
         with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
+            json.dump(asdict(self), handle, indent=2, sort_keys=True)  # tuples as lists
             handle.write("\n")
 
 
@@ -203,14 +192,8 @@ def _csv_names(text: str) -> list[str]:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name in (f.name for f in fields(RunConfig)):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    merged = cfg.to_dict()
-    merged.update({k: (list(v) if isinstance(v, tuple) else v) for k, v in overrides.items()})
-    return RunConfig.from_dict(merged)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _require(path, what: str) -> Path:
@@ -254,13 +237,6 @@ def _load_or_make_mask(args, cfg: RunConfig, series, out_dir: Path | None,
 
 def _dataset_tag(args) -> str:
     return Path(args.series).stem if args.series else "synthetic"
-
-
-def _write_rows(path, rows: list[list], comment: str) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(f"# {comment}\n")
-        for row in rows:
-            handle.write(",".join(str(cell) for cell in row) + "\n")
 
 
 # -- commands -----------------------------------------------------------------
@@ -311,7 +287,7 @@ def cmd_train(args) -> int:
                     seed=cfg.seed)
     result = train_model(model, train_ws, valid_ws, cfg.train_config())
     save_checkpoint(out / "checkpoint.json", model, comment=note)
-    _write_rows(out / "history.csv", history_rows(result), note)
+    data.write_rows(out / "history.csv", history_rows(result), note)
     cfg.to_file(out / "config.json")
     if result.diverged:
         print(f"training diverged after epoch {result.epochs_run}; "
@@ -332,16 +308,19 @@ def cmd_impute(args) -> int:
     mask = _load_or_make_mask(args, cfg, series, None) if args.mask else np.zeros(
         (series.n_nodes, series.n_steps), dtype=np.int8)
     width, steps = model.width, series.n_steps
-    filled = np.array(series.values)
     windows = data.make_windows(series, mask, width, width)
-    for w in windows:
-        filled[:, w.window_start:w.window_start + width, :] = model.impute(w)
-    covered = len(windows) * width
-    if covered < steps:
+    if len(windows) * width < steps:
         # a right-aligned window imputes the steps no full window covers
         tail = data.SeriesMatrix(values=series.values[:, steps - width:])
         (w,) = data.make_windows(tail, mask[:, steps - width:], width, width)
-        filled[:, covered:, :] = model.impute(w)[:, covered - (steps - width):, :]
+        windows.append(replace(w, window_start=steps - width))
+    filled = np.array(series.values)
+    covered = 0
+    for w, pred in zip(windows, predict_windows(model, windows)):
+        start = w.window_start
+        imputed = np.where(w.m[:, :, None] == 1.0, w.x, pred)
+        filled[:, covered:start + width, :] = imputed[:, covered - start:, :]
+        covered = start + width
     out = _out_dir(args)
     path = out / "imputed.csv"
     data.save_series_csv(path, data.SeriesMatrix(values=filled), comment=_provenance(args, cfg.seed))
@@ -371,8 +350,7 @@ def cmd_eval(args) -> int:
             preds = predict_windows(model, chosen)
         else:
             raise InputError(f"unknown method {method!r}")
-        m_rmse, m_mape = evaluation.pooled_metrics(
-            preds, [w.ground_truth for w in chosen], [w.eval_mask for w in chosen])
+        m_rmse, m_mape = evaluation.pooled_metrics(preds, chosen)
         report.rows.append(evaluation.ReportRow(
             method=method, dataset=tag, ratio=cfg.ratio, seed=cfg.seed,
             rmse=m_rmse, mape=m_mape, runtime_s=time.perf_counter() - start))
@@ -380,10 +358,10 @@ def cmd_eval(args) -> int:
             trace_dir = Path(args.traces)
             trace_dir.mkdir(parents=True, exist_ok=True)
             for node, rows in evaluation.imputation_traces(chosen, preds).items():
-                _write_rows(trace_dir / f"{method}_node{node}.csv",
-                            [["t", "ground_truth", "imputed", "observed"]]
-                            + [[t, repr(gt), repr(pred), obs] for t, gt, pred, obs in rows],
-                            note)
+                data.write_rows(trace_dir / f"{method}_node{node}.csv",
+                                [["t", "ground_truth", "imputed", "observed"]]
+                                + [[t, repr(gt), repr(pred), obs] for t, gt, pred, obs in rows],
+                                note)
         print(f"{method}: RMSE {m_rmse:.6f}, MAPE {m_mape:.4f}%")
     report.to_csv(out / "report.csv", comment=note)
     return 0
@@ -416,7 +394,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     note = _provenance(args, cfg.seed)
     report.to_csv(out / "sweep_report.csv", comment=note)
-    _write_rows(out / "sweep_rmse.csv", evaluation.sweep_pivot(report), note)
+    data.write_rows(out / "sweep_rmse.csv", evaluation.sweep_pivot(report), note)
     for row in report.rows:
         print(f"r={row.ratio:.2f} {row.method}: RMSE {row.rmse:.6f}, MAPE {row.mape:.4f}%")
     return 0
@@ -538,10 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except FileNotFoundError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 2
-    except (InputError, ShapeError, ContractError, EmptyMaskError) as err:
+    except (FileNotFoundError, InputError, ShapeError, ContractError, EmptyMaskError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     except NumericError as err:

@@ -28,7 +28,7 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     """Split a CSV into leading comment lines and data rows."""
     comments: list[str] = []
     rows: list[list[str]] = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         for raw in csv.reader(handle):
             if not rows and raw and raw[0].startswith("#"):
                 comments.append(",".join(raw))
@@ -44,8 +44,12 @@ def _read_lines(path) -> tuple[list[str], list[str]]:
     end and a cell at every comma, so the lines are the rows. A file that
     quotes gives no lines, which sends it to the cell-by-cell reader.
     """
-    with open(path) as handle:  # universal newlines end lines where csv.reader ends rows
-        text = handle.read()
+    try:
+        # universal newlines end lines where csv.reader ends rows
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     if '"' in text:
         return [], []
     lines = [line for line in text.split("\n") if line]
@@ -247,6 +251,23 @@ def hide_observed(w: IncompleteWindow, fraction: float, rng: np.random.Generator
                             window_start=w.window_start)
 
 
+def node_means(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Each node's mean over its observed steps, (N, C) for one window's
+    (N, W, C) features and (N, W) mask, (B, N, C) for a stack.
+
+    A node with nothing observed takes its window's observed mean, and a
+    window with nothing observed gives 0.
+    """
+    m3 = m[..., None]
+    observed = x * m3
+    node_cnt = m.sum(axis=-1)[..., None]                      # (..., N, 1)
+    total_cnt = m.sum(axis=(-2, -1))[..., None, None]         # (..., 1, 1)
+    total_sum = observed.sum(axis=(-3, -2))[..., None, :]     # (..., 1, C)
+    window_mean = np.where(total_cnt > 0, total_sum / np.where(total_cnt > 0, total_cnt, 1.0), 0.0)
+    return np.where(node_cnt > 0, observed.sum(axis=-2) / np.where(node_cnt > 0, node_cnt, 1.0),
+                    window_mean)
+
+
 def split(windows: list, fractions: tuple[float, float, float]) -> tuple[list, list, list]:
     """Contiguous chronological train/valid/test split.
 
@@ -366,6 +387,15 @@ def generate_synthetic(n_nodes: int, n_steps: int, graph: TrafficGraph, seed: in
 # -- CSV formats ---------------------------------------------------------------
 
 
+def write_rows(path, rows: list[list], comment: str | None = None) -> None:
+    """A CSV of ``str`` of each cell, after a ``# comment`` line when one is given."""
+    with open(path, "w", newline="") as handle:
+        if comment:
+            handle.write(f"# {comment}\n")
+        for row in rows:
+            handle.write(",".join(str(cell) for cell in row) + "\n")
+
+
 def save_series_csv(path, series: SeriesMatrix, comment: str | None = None) -> None:
     """Header node{i}_f{j} (nodes repeated per feature), one row per step.
 
@@ -385,8 +415,9 @@ def save_series_csv(path, series: SeriesMatrix, comment: str | None = None) -> N
 _COLUMN = re.compile(r"^node(\d+)_f(\d+)$")
 
 
-def _series_columns(path, header: list[str]) -> list[tuple[int, int]]:
-    """(node, feature) of each column; the header must cover the full grid."""
+def _series_columns(path, header: list[str]) -> tuple[list[tuple[int, int]], int, int]:
+    """(node, feature) of each column, and the node and feature counts; the
+    header must cover the full grid."""
     parsed = []
     for col in (c.strip() for c in header):
         m = _COLUMN.match(col)
@@ -397,7 +428,7 @@ def _series_columns(path, header: list[str]) -> list[tuple[int, int]]:
     c = max(p[1] for p in parsed) + 1
     if len(parsed) != n * c or sorted(parsed) != [(i, j) for i in range(n) for j in range(c)]:
         raise InputError(f"{path}: header does not cover a full node x feature grid")
-    return parsed
+    return parsed, n, c
 
 
 _EMPTY_CELL = re.compile(",(?=,)")  # a comma followed by another closes an empty cell
@@ -419,11 +450,11 @@ def load_series_csv(path) -> SeriesMatrix:
     """
     _, lines = _read_lines(path)
     if lines:
-        columns = _series_columns(path, lines[0].split(","))
+        columns, n, c = _series_columns(path, lines[0].split(","))
         cells = _bulk_cells(_spell_missing(lines[1:]), len(columns), np.float64)
         if cells is not None:
             nodes, feats = (np.array(axis) for axis in zip(*columns))
-            values = np.empty((nodes.max() + 1, len(cells), feats.max() + 1))
+            values = np.empty((n, len(cells), c))
             values[nodes, :, feats] = cells.T
             return SeriesMatrix(values=values)
     return _load_series_by_cell(path)
@@ -434,9 +465,7 @@ def _load_series_by_cell(path) -> SeriesMatrix:
     _, rows = _read_rows(path)
     if not rows:
         raise InputError(f"{path}: empty series file")
-    parsed = _series_columns(path, rows[0])
-    n = max(p[0] for p in parsed) + 1
-    c = max(p[1] for p in parsed) + 1
+    parsed, n, c = _series_columns(path, rows[0])
     values = np.full((n, len(rows) - 1, c), np.nan)
     for t, row in enumerate(rows[1:]):
         if len(row) != len(parsed):
@@ -507,4 +536,4 @@ def _load_mask_by_cell(path) -> tuple[np.ndarray, int | None, float | None]:
         if cells is None or not {0, 1}.issuperset(cells):
             raise InputError(f"{path}: row {t + 2}: mask cells must be 0/1")
         data.append(cells)
-    return np.array(data, dtype=np.int8).T, seed, ratio
+    return np.array(data, dtype=np.int8).reshape(-1, n).T, seed, ratio

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import IncompleteWindow, Normalizer, SeriesMatrix, draw_eval_mask, make_windows, split
+from .data import (IncompleteWindow, Normalizer, SeriesMatrix, draw_eval_mask, make_windows,
+                   node_means, split, write_rows)
 from .errors import ContractError, EmptyMaskError, InputError
 from .graph import TrafficGraph
 from .model import VARIANT_TOGGLES, MagiNet, ModelConfig
@@ -36,38 +37,41 @@ def _select(yhat, y, mask):
     return yhat[mask], y[mask]
 
 
+def _scores(predicted: np.ndarray, truth: np.ndarray) -> tuple[float, float | None]:
+    """RMSE, and MAPE in percent over the truths of magnitude at least
+    ``MAPE_FLOOR`` (None when there are none), of selected entries."""
+    root = float(np.sqrt(np.mean((predicted - truth) ** 2)))
+    keep = np.abs(truth) >= MAPE_FLOOR
+    if not keep.any():
+        return root, None
+    return root, float(100.0 * np.mean(np.abs((predicted[keep] - truth[keep]) / truth[keep])))
+
+
 def rmse(yhat, y, mask) -> float:
-    predicted, truth = _select(yhat, y, mask)
-    return float(np.sqrt(np.mean((predicted - truth) ** 2)))
+    return _scores(*_select(yhat, y, mask))[0]
 
 
 def mape(yhat, y, mask) -> float:
     """Mean absolute percentage error (in percent) over the masked entries."""
-    predicted, truth = _select(yhat, y, mask)
-    keep = np.abs(truth) >= MAPE_FLOOR
-    if not keep.any():
+    pct = _scores(*_select(yhat, y, mask))[1]
+    if pct is None:
         raise EmptyMaskError("all ground-truth magnitudes below the MAPE floor")
-    return float(100.0 * np.mean(np.abs((predicted[keep] - truth[keep]) / truth[keep])))
+    return pct
 
 
-def pooled_metrics(preds, truths, masks) -> tuple[float, float]:
-    """RMSE/MAPE with every held-out entry pooled across windows."""
-    chosen_p, chosen_t = [], []
-    for yhat, y, mask in zip(preds, truths, masks):
-        mask = np.asarray(mask) != 0
-        if not mask.any():
-            continue
-        sel = np.broadcast_to(mask[..., None], np.asarray(yhat).shape)
-        chosen_p.append(np.asarray(yhat)[sel])
-        chosen_t.append(np.asarray(y)[sel])
-    if not chosen_p:
+def pooled_metrics(preds, windows: list[IncompleteWindow]) -> tuple[float, float]:
+    """RMSE/MAPE with every held-out entry pooled across windows.
+
+    Each prediction is scored against its window's ground truth at its
+    eval mask. Unlike ``mape``, MAPE reads 0.0 when no truth reaches the
+    floor, so a report row always has a value.
+    """
+    chosen = [_select(yhat, w.ground_truth, w.eval_mask)
+              for yhat, w in zip(preds, windows) if w.held_out_count()]
+    if not chosen:
         raise EmptyMaskError("no held-out entries in any window")
-    predicted = np.concatenate(chosen_p)
-    truth = np.concatenate(chosen_t)
-    root = float(np.sqrt(np.mean((predicted - truth) ** 2)))
-    keep = np.abs(truth) >= MAPE_FLOOR
-    pct = float(100.0 * np.mean(np.abs((predicted[keep] - truth[keep]) / truth[keep]))) if keep.any() else 0.0
-    return root, pct
+    root, pct = _scores(*(np.concatenate(part) for part in zip(*chosen)))
+    return root, 0.0 if pct is None else pct
 
 
 # -- baselines ---------------------------------------------------------------
@@ -79,16 +83,9 @@ def mean_baseline(window: IncompleteWindow) -> np.ndarray:
     Nodes with no observations fall back to the window-global observed
     mean; a window with no observations at all is an input error.
     """
-    m3 = window.m[:, :, None]
-    total_observed = window.m.sum()
-    if total_observed == 0:
+    if not window.m.any():
         raise InputError("mean baseline needs at least one observed entry")
-    global_mean = (window.x * m3).sum(axis=(0, 1)) / total_observed
-    node_count = window.m.sum(axis=1)[:, None]
-    node_sum = (window.x * m3).sum(axis=1)
-    node_mean = np.where(node_count > 0, node_sum / np.where(node_count > 0, node_count, 1.0),
-                         global_mean)
-    return np.where(m3 == 1.0, window.x, node_mean[:, None, :])
+    return np.where(window.m[:, :, None] == 1.0, window.x, node_means(window.x, window.m)[:, None, :])
 
 
 NODE_BLOCK = 16  # distance rows built at a time: bounds the (rows, N, W, C) temporaries
@@ -194,12 +191,7 @@ class EvalReport:
     rows: list[ReportRow] = field(default_factory=list)
 
     def to_csv(self, path, comment: str | None = None) -> None:
-        with open(path, "w", newline="") as handle:
-            if comment:
-                handle.write(f"# {comment}\n")
-            handle.write(",".join(REPORT_COLUMNS) + "\n")
-            for row in self.rows:
-                handle.write(",".join(str(cell) for cell in row.as_list()) + "\n")
+        write_rows(path, [REPORT_COLUMNS] + [row.as_list() for row in self.rows], comment)
 
 
 def imputation_traces(windows: list[IncompleteWindow], imputed: list[np.ndarray],
@@ -227,8 +219,7 @@ def imputation_traces(windows: list[IncompleteWindow], imputed: list[np.ndarray]
 
 
 def evaluate_baseline(method: str, windows: list[IncompleteWindow], knn_k: int = 3) -> tuple[float, float]:
-    preds = baseline_predictions(method, windows, knn_k)
-    return pooled_metrics(preds, [w.ground_truth for w in windows], [w.eval_mask for w in windows])
+    return pooled_metrics(baseline_predictions(method, windows, knn_k), windows)
 
 
 def train_and_score(model_config: ModelConfig, train_config, graph: TrafficGraph,

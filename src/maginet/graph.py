@@ -153,40 +153,44 @@ def load_adjacency(path, n_nodes: int) -> TrafficGraph:
     """
     adj = np.zeros((n_nodes, n_nodes))
     seen: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as handle:
-        lineno = 0
-        header_done = False
-        for row in csv.reader(handle):
-            lineno += 1
-            if not row or row[0].startswith("#"):
-                continue
-            if not header_done:
-                if [c.strip().lower() for c in row] != ["src", "dst", "weight"]:
-                    raise InputError(f"{path}: line {lineno}: expected header 'src,dst,weight'")
-                header_done = True
-                continue
-            if len(row) != 3:
-                raise InputError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                src, dst = int(row[0]), int(row[1])
-                weight = float(row[2])
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: malformed edge {row!r}") from None
-            if not (0 <= src < n_nodes) or not (0 <= dst < n_nodes):
-                raise InputError(f"{path}: line {lineno}: node id outside [0, {n_nodes})")
-            if not np.isfinite(weight) or weight < 0:
-                raise InputError(f"{path}: line {lineno}: weight must be finite and nonnegative")
-            if src == dst:
-                continue  # the Laplacian assumes no self-loops
-            key = (src, dst)
-            if key in seen and seen[key] != weight:
-                raise InputError(
-                    f"{path}: line {lineno}: duplicate edge {src}->{dst} with conflicting weight"
-                )
-            seen[key] = weight
-            adj[src, dst] = weight
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+    lineno = 0
+    header_done = False
+    for row in rows:
+        lineno += 1
+        if not row or row[0].startswith("#"):
+            continue
         if not header_done:
-            raise InputError(f"{path}: missing header 'src,dst,weight'")
+            if [c.strip().lower() for c in row] != ["src", "dst", "weight"]:
+                raise InputError(f"{path}: line {lineno}: expected header 'src,dst,weight'")
+            header_done = True
+            continue
+        if len(row) != 3:
+            raise InputError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+        try:
+            src, dst = int(row[0]), int(row[1])
+            weight = float(row[2])
+        except ValueError:
+            raise InputError(f"{path}: line {lineno}: malformed edge {row!r}") from None
+        if not (0 <= src < n_nodes) or not (0 <= dst < n_nodes):
+            raise InputError(f"{path}: line {lineno}: node id outside [0, {n_nodes})")
+        if not np.isfinite(weight) or weight < 0:
+            raise InputError(f"{path}: line {lineno}: weight must be finite and nonnegative")
+        if src == dst:
+            continue  # the Laplacian assumes no self-loops
+        key = (src, dst)
+        if key in seen and seen[key] != weight:
+            raise InputError(
+                f"{path}: line {lineno}: duplicate edge {src}->{dst} with conflicting weight"
+            )
+        seen[key] = weight
+        adj[src, dst] = weight
+    if not header_done:
+        raise InputError(f"{path}: missing header 'src,dst,weight'")
     return TrafficGraph(np.maximum(adj, adj.T))
 
 

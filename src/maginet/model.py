@@ -25,23 +25,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import IncompleteWindow, Normalizer
+from .data import IncompleteWindow, Normalizer, node_means
 from .errors import ContractError, InputError
 from .graph import ChebyshevBasis, TrafficGraph, build_basis
 
 CHECKPOINT_VERSION = 1
 
-ABLATIONS = (
-    "zero_prefill",
-    "mean_prefill",
-    "no_amstenc",
-    "no_mastatt",
-    "no_graphconv",
-    "no_gtconv",
-    "no_mastdec",
-)
-
-# Paper-style variant names accepted by the ablation runner / CLI.
+# Paper-style variant names accepted by the ablation runner / CLI, and
+# the ModelConfig toggle of each.
 VARIANT_TOGGLES = {
     "zero prefill": "zero_prefill",
     "mean prefill": "mean_prefill",
@@ -51,6 +42,7 @@ VARIANT_TOGGLES = {
     "w/o GTconv": "no_gtconv",
     "w/o MASTdec": "no_mastdec",
 }
+ABLATIONS = tuple(VARIANT_TOGGLES.values())
 
 
 @dataclass(frozen=True)
@@ -96,7 +88,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["kernel_sizes"] = list(self.kernel_sizes)
         out["ablations"] = sorted(self.ablations)
         return out
 
@@ -106,12 +97,7 @@ class ModelConfig:
         unknown = set(raw) - known
         if unknown:
             raise InputError(f"unknown model config keys: {sorted(unknown)}")
-        raw = dict(raw)
-        if "kernel_sizes" in raw:
-            raw["kernel_sizes"] = tuple(raw["kernel_sizes"])
-        if "ablations" in raw:
-            raw["ablations"] = frozenset(raw["ablations"])
-        return cls(**raw)
+        return cls(**raw)  # __post_init__ turns the JSON lists into a tuple and a frozenset
 
 
 class ModelParams:
@@ -240,14 +226,7 @@ def _prefill(x: np.ndarray, m: np.ndarray, mode: str) -> np.ndarray:
     m3 = m[..., None]
     if mode == "zero":
         return x * m3
-    per_node_sum = (x * m3).sum(axis=-2)                      # (..., N, C)
-    per_node_cnt = m.sum(axis=-1)[..., None]                  # (..., N, 1)
-    total_cnt = m.sum(axis=(-2, -1))[..., None, None]         # (..., 1, 1)
-    total_sum = (x * m3).sum(axis=(-3, -2))[..., None, :]     # (..., 1, C)
-    global_mean = np.where(total_cnt > 0, total_sum / np.where(total_cnt > 0, total_cnt, 1.0), 0.0)
-    node_mean = np.where(per_node_cnt > 0, per_node_sum / np.where(per_node_cnt > 0, per_node_cnt, 1.0),
-                         global_mean)
-    return x * m3 + node_mean[..., None, :] * (1.0 - m3)
+    return x * m3 + node_means(x, m)[..., None, :] * (1.0 - m3)
 
 
 def amst_encode(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConfig) -> Tensor:
@@ -461,27 +440,18 @@ class MagiNet:
     def forward(self, x: np.ndarray, m: np.ndarray, internals: dict | None = None) -> Tensor:
         return forward(x, m, self.params, self.config, self.basis, internals)
 
-    def _predict(self, x: np.ndarray, m: np.ndarray, internals: dict | None = None) -> np.ndarray:
+    def predict(self, windows: list[IncompleteWindow]) -> np.ndarray:
+        """Imputed windows in original units, (B, N, W, C), from one
+        gradient-free forward pass over their stack."""
+        x = np.stack([w.x for w in windows])
+        m = np.stack([w.m for w in windows])
         if self.normalizer is not None:
             x = np.where(m[..., None] == 1.0, self.normalizer.transform(x), 0.0)
         with ad.no_grad():
-            out = self.forward(x, m, internals).data
+            out = self.forward(x, m).data
         if self.normalizer is not None:
             out = self.normalizer.inverse(out)
         return out
-
-    def predict(self, window: IncompleteWindow, internals: dict | None = None) -> np.ndarray:
-        """Imputed window in original units (gradient-free)."""
-        return self._predict(window.x, window.m, internals)
-
-    def predict_batch(self, windows: list[IncompleteWindow]) -> np.ndarray:
-        """``predict`` for a list of windows in one forward pass: (B, N, W, C)."""
-        return self._predict(np.stack([w.x for w in windows]), np.stack([w.m for w in windows]))
-
-    def impute(self, window: IncompleteWindow) -> np.ndarray:
-        """Fill only m = 0 positions; observed values pass through untouched."""
-        out = self.predict(window)
-        return np.where(window.m[:, :, None] == 1.0, window.x, out)
 
 
 # -- checkpointing -----------------------------------------------------------

@@ -303,6 +303,23 @@ def test_eval_out_of_range_mask_cell_exits_2_naming_its_row(tmp_path, capsys, ce
     assert "m.csv: row 3: mask cells must be 0/1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--series", "--mask", "--adj"])
+def test_eval_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, flag):
+    files = {"--series": ("s.csv", "node0_f0,node1_f0\n2.0,1.0\n4.0,1.0\n"),
+             "--adj": ("a.csv", "src,dst,weight\n0,1,1.0\n"),
+             "--mask": ("m.csv", "node0,node1\n0,0\n1,0\n")}
+    argv = ["eval"]
+    for name, (file_name, text) in files.items():
+        path = tmp_path / file_name
+        # a 0xff byte never occurs in UTF-8
+        path.write_bytes(text.encode() + (b"\xff\n" if name == flag else b""))
+        argv += [name, str(path)]
+    code = run(argv + ["--methods", "mean", "--split", "all", "--width", "2",
+                       "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"input error: {tmp_path / files[flag][0]}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_eval_maginet_rmse_equals_train_test_rmse(tmp_path):
     # 100 windows of 12 steps: the 10 test windows take two chunks of EVAL_CHUNK
     series, adj = generate_tiny(tmp_path, steps=1200)

@@ -332,7 +332,7 @@ def mask_by_cell(path):
         if ints is None or not {0, 1}.issuperset(ints):
             raise InputError(f"{path}: row {t + 2}: mask cells must be 0/1")
         cells.append(ints)
-    return np.array(cells, dtype=np.int8).T, seed, ratio
+    return np.array(cells, dtype=np.int8).reshape(-1, len(rows[0])).T, seed, ratio
 
 
 def outcome(read, path):
@@ -465,3 +465,13 @@ def test_mask_out_of_range_cell_names_its_row(tmp_path):
     path.write_text("node0,node1\n0,1\n1,300\n")
     with pytest.raises(InputError, match=r"m\.csv: row 3: mask cells must be 0/1"):
         data.load_mask_csv(path)
+
+
+def test_mask_with_only_a_header_loads_as_nodes_by_zero_steps(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("node0,node1\n")
+    mask, _, _ = data.load_mask_csv(path)
+    assert mask.shape == (2, 0) and mask.dtype == np.int8
+    series_path = tmp_path / "s.csv"
+    series_path.write_text("node0_f0,node1_f0\n")
+    assert data.load_series_csv(series_path).values.shape == (2, 0, 1)

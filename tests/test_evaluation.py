@@ -4,7 +4,7 @@ import pytest
 from maginet import data, evaluation
 from maginet.data import IncompleteWindow
 from maginet.errors import ContractError, EmptyMaskError, InputError
-from maginet.model import ModelConfig
+from maginet.model import ModelConfig, _prefill
 from maginet.training import TrainConfig
 
 
@@ -67,6 +67,28 @@ def test_mape_excludes_tiny_truth():
     assert evaluation.mape(yhat, y, mask) == 50.0
 
 
+def test_pooled_metrics_on_one_window_equal_rmse_and_mape():
+    rng = np.random.default_rng(3)
+    values = rng.uniform(1, 9, (4, 6, 2))
+    ev = (rng.random((4, 6)) < 0.4).astype(float)
+    w = window_from(values, 1.0 - ev, ev)
+    yhat = values + rng.normal(0.0, 1.0, values.shape)
+    empty = window_from(values, np.ones((4, 6)), np.zeros((4, 6)))  # nothing held out: skipped
+    pooled = evaluation.pooled_metrics([yhat, values], [w, empty])
+    assert pooled == (evaluation.rmse(yhat, w.ground_truth, w.eval_mask),
+                      evaluation.mape(yhat, w.ground_truth, w.eval_mask))
+
+
+def test_pooled_metrics_report_zero_mape_where_mape_raises():
+    values = np.array([[[0.0], [1e-9]]])  # every truth below the floor
+    w = window_from(values, np.zeros((1, 2)), np.ones((1, 2)))
+    yhat = np.array([[[1.0], [1.0]]])
+    with pytest.raises(EmptyMaskError):
+        evaluation.mape(yhat, w.ground_truth, w.eval_mask)
+    assert evaluation.pooled_metrics([yhat], [w]) == (
+        evaluation.rmse(yhat, w.ground_truth, w.eval_mask), 0.0)
+
+
 # ---------------------------------------------------------------- mean baseline
 
 
@@ -100,6 +122,22 @@ def test_mean_baseline_rejects_fully_unobserved_window():
     w = window_from(np.ones((2, 2, 1)), np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(InputError):
         evaluation.mean_baseline(w)
+
+
+def test_mean_prefill_equals_mean_baseline_at_hidden_entries():
+    rng = np.random.default_rng(4)
+    windows = []
+    for k in range(6):
+        values = rng.uniform(-9, 9, (5, 7, 2))
+        m = (rng.random((5, 7)) < 0.6).astype(float)
+        m[k % 5] = 0.0  # a node with nothing observed takes the window's mean
+        windows.append(window_from(values, m, np.zeros((5, 7))))
+    stacked = _prefill(np.stack([w.x for w in windows]), np.stack([w.m for w in windows]), "mean")
+    for w, in_stack in zip(windows, stacked):
+        hidden = w.m == 0.0
+        expected = evaluation.mean_baseline(w)[hidden].tobytes()
+        assert _prefill(w.x, w.m, "mean")[hidden].tobytes() == expected
+        assert in_stack[hidden].tobytes() == expected
 
 
 # ---------------------------------------------------------------- knn baseline

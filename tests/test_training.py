@@ -265,3 +265,31 @@ def test_hiding_epoch1_loss_deterministic():
         result = training.train_model(model, train_ws, valid_ws, cfg)
         losses.append(result.history[0]["train_loss"])
     assert losses[0] == losses[1]
+
+
+# ---------------------------------------------------------------- prediction
+
+
+@pytest.mark.parametrize("n, per_call", [(16, [8, 8, 4]), (207, [1] * 20)])
+def test_predict_windows_chunk_follows_node_count(n, per_call):
+    model, windows, _, _ = tiny_setup(n=n, width=6, steps=6 * 30)
+    windows = windows[:20]
+    model.normalizer = data.Normalizer.fit(windows)
+    real_forward = model.forward
+    calls = []
+
+    def spy(x, m, internals=None):
+        calls.append(len(x))
+        return real_forward(x, m, internals)
+
+    model.forward = spy
+    preds = training.predict_windows(model, windows)
+    assert calls == per_call
+    norm = model.normalizer
+    for w, pred in zip(windows, preds):
+        # one window alone, through predict and through the unbatched forward
+        (alone,) = model.predict([w])
+        with ad.no_grad():
+            out = real_forward(np.where(w.m[:, :, None] == 1.0, norm.transform(w.x), 0.0), w.m)
+        for other in (alone, norm.inverse(out.data)):
+            assert pred.shape == other.shape and pred.tobytes() == other.tobytes()
