@@ -40,3 +40,7 @@ print("gradient check max relative errors:", errors)
 scores = ad.constant([[2.0, -np.inf, 0.5], [-np.inf, -np.inf, -np.inf]])
 print("masked softmax rows:\n", ad.softmax_lastdim(scores).data)
 print("(a fully masked row collapses to zeros, not NaN)")
+raw = ad.constant([[2.0, 7.0, 0.5], [1.0, 3.0, 2.0]])
+keep = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+print("the same rows from masked_softmax, which never forms -inf:\n",
+      ad.masked_softmax(raw, keep).data)

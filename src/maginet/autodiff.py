@@ -15,6 +15,22 @@ that shape bugs surface where they are made.
 Everything is float64; gradient checking against central finite
 differences is the package's primary verification mechanism and needs
 the headroom.
+
+Kernel rules, which keep the hot kernels off numpy's slow paths:
+
+- No data-dependent select (``np.where`` and the like) runs over tensor
+  data. ``relu`` is ``np.maximum``, ``sigmoid`` is ``max(e, x >= 0) /
+  (1 + e)`` with ``e = exp(-|x|)``, and masks multiply; a select runs
+  only over a constant mask's own shape or over one value per row.
+- Every trailing-axis sum (softmax and layer norm, forward and backward)
+  is one matrix-vector product with a ones vector (``_rowsum``). A short
+  trailing-axis max is a loop of elementwise maxima over its columns,
+  a long one numpy's reduction (``_rowmax``).
+- ``masked_softmax`` multiplies by the keep mask, so ``exp`` never sees
+  a masked entry as -inf; masked keys still get weight exactly 0.
+- A kernel updates its own temporaries in place.
+
+``relu`` and ``sigmoid`` pass NaN through.
 """
 
 from __future__ import annotations
@@ -48,11 +64,17 @@ __all__ = [
     "sigmoid",
     "absolute",
     "softmax_lastdim",
+    "masked_softmax",
+    "tanh_sigmoid_gate",
     "layer_norm",
     "conv1d_time",
 ]
 
 _ids = itertools.count()
+
+# Trailing axes up to this length reduce as column loops (see _rowmax).
+_SHORT_AXIS = 32
+_TINY = np.finfo(np.float64).tiny
 
 
 class _GradMode(threading.local):
@@ -476,21 +498,37 @@ def _as_const_array(mask) -> np.ndarray:
     return np.asarray(mask)
 
 
+def _keep_mask(keep, shape: tuple[int, ...]) -> np.ndarray:
+    """A constant 0/1 mask as booleans, checked to broadcast onto ``shape``."""
+    keep = _as_const_array(keep) != 0
+    try:
+        fits = np.broadcast_shapes(keep.shape, shape) == shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeError(f"mask of shape {keep.shape} does not broadcast onto {shape}")
+    return keep
+
+
 def masked_fill(t: Tensor, keep, value: float) -> Tensor:
     """Keep entries where ``keep`` is nonzero, set the rest to ``value``.
 
     ``keep`` is a constant 0/1 array broadcastable to ``t``; gradients
-    flow only through kept entries.
+    flow only through kept entries. The fill is ``t * keep`` plus a fill
+    array built over the mask's own shape, so ``t`` must be finite where
+    it is masked (an infinite or NaN entry times 0 is NaN).
     """
     t = as_tensor(t)
-    keep = _as_const_array(keep) != 0
-    if np.broadcast_shapes(keep.shape, t.shape) != t.shape:
-        raise ShapeError(f"mask of shape {keep.shape} does not broadcast onto {t.shape}")
+    keep = _keep_mask(keep, t.shape)
+    fill = np.where(keep, 0.0, value)   # over the mask's shape only: 0 where kept
+    keep = keep.astype(np.float64)
 
     def rule(g):
-        return (np.where(keep, g, 0.0),)
+        return (g * keep,)
 
-    return _record(np.where(keep, t.data, value), (t,), rule)
+    out = t.data * keep
+    out += fill
+    return _record(out, (t,), rule)
 
 
 def scale_by(t: Tensor, factor) -> Tensor:
@@ -535,12 +573,12 @@ def masked_select(t: Tensor, mask) -> Tensor:
 
 def relu(t: Tensor) -> Tensor:
     t = as_tensor(t)
-    positive = t.data > 0
+    d = t.data
 
     def rule(g):
-        return (g * positive,)
+        return (g * (d > 0),)
 
-    return _record(np.where(positive, t.data, 0.0), (t,), rule)
+    return _record(np.maximum(d, 0.0), (t,), rule)
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -553,17 +591,48 @@ def tanh(t: Tensor) -> Tensor:
     return _record(y, (t,), rule)
 
 
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-d)) for d >= 0 and exp(d) / (1 + exp(d)) below, as
+    max(e, d >= 0) / (1 + e) with e = exp(-|d|): no select, and exp never
+    overflows."""
+    e = np.abs(d)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.maximum(e, d >= 0)
+    e += 1.0
+    y /= e
+    return y
+
+
 def sigmoid(t: Tensor) -> Tensor:
     t = as_tensor(t)
-    # Split by sign to avoid overflow in exp.
-    d = t.data
-    e_neg = np.exp(np.clip(d, None, 0))
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.clip(d, 0, None))), e_neg / (1.0 + e_neg))
+    y = _sigmoid(t.data)
 
     def rule(g):
         return (g * y * (1.0 - y),)
 
     return _record(y, (t,), rule)
+
+
+def tanh_sigmoid_gate(t: Tensor) -> Tensor:
+    """``tanh(t[..., :d]) * sigmoid(t[..., d:])`` over a last axis of 2d, as one op."""
+    t = as_tensor(t)
+    if t.ndim < 1 or t.shape[-1] % 2:
+        raise ShapeError(f"tanh_sigmoid_gate needs an even last axis, got shape {t.shape}")
+    d = t.shape[-1] // 2
+    filt = np.tanh(t.data[..., :d])
+    gate = _sigmoid(t.data[..., d:])
+
+    def rule(g):
+        grad = np.empty(g.shape[:-1] + (2 * d,))
+        dfilt, dgate = grad[..., :d], grad[..., d:]
+        np.multiply(g, gate, out=dfilt)
+        dfilt *= 1.0 - filt * filt
+        np.multiply(g, filt, out=dgate)
+        dgate *= gate * (1.0 - gate)
+        return (grad,)
+
+    return _record(filt * gate, (t,), rule)
 
 
 def absolute(t: Tensor) -> Tensor:
@@ -579,6 +648,67 @@ def absolute(t: Tensor) -> Tensor:
 # -- structured primitives -------------------------------------------------
 
 
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, keepdims: one matrix-vector product with a
+    ones vector (a non-contiguous ``a`` is copied first)."""
+    width = a.shape[-1]
+    return (a.reshape(-1, width) @ np.ones(width)).reshape(a.shape[:-1] + (1,))
+
+
+def _rowmax(a: np.ndarray) -> np.ndarray:
+    """Max over the last axis, keepdims; NaN wherever a row holds one.
+
+    A short axis (the attention windows) reduces as a loop of elementwise
+    maxima over its columns, a long one (N keys) by numpy's reduction.
+    """
+    width = a.shape[-1]
+    if width > _SHORT_AXIS:
+        return a.max(axis=-1, keepdims=True)
+    out = a[..., :1].copy()
+    for col in range(1, width):
+        np.maximum(out, a[..., col:col + 1], out=out)
+    return out
+
+
+def _softmax_rows(d: np.ndarray, rowmax: np.ndarray, keep: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of the rows of ``d`` given their max, into ``out`` if given.
+
+    Raises on a NaN or +inf row max. A row whose max is -inf maps to
+    zeros: it is not shifted, and its total of 0 is divided by the
+    smallest normal float instead. With a ``keep`` mask the shifted scores
+    are clamped at 0 before ``exp`` (masked entries may exceed the max of
+    the kept ones) and the masked entries zeroed after it.
+    """
+    if np.isnan(rowmax).any():
+        raise NumericError("softmax input contains NaN")
+    if np.isposinf(rowmax).any():
+        raise NumericError("softmax input contains +inf")
+    rowmax[np.isneginf(rowmax)] = 0.0
+    with np.errstate(over="ignore"):   # -inf, exp 0; +inf only at masked entries, clamped
+        z = np.subtract(d, rowmax, out=out)
+    if keep is not None:
+        np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    if keep is not None:
+        z *= keep
+    total = _rowsum(z)
+    np.maximum(total, _TINY, out=total)
+    z /= total
+    return z
+
+
+def _softmax_rule(y: np.ndarray):
+    def rule(g):
+        out = g * y
+        inner = _rowsum(out)
+        np.subtract(g, inner, out=out)
+        out *= y
+        return (out,)
+
+    return rule
+
+
 def softmax_lastdim(t: Tensor) -> Tensor:
     """Softmax over the last axis with masking semantics.
 
@@ -590,22 +720,28 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     if t.ndim < 1 or t.shape[-1] < 1:
         raise ShapeError(f"softmax_lastdim needs a nonempty last axis, got shape {t.shape}")
     d = t.data
-    rowmax = np.max(d, axis=-1, keepdims=True)  # NaN if the row holds one, else +inf if it does
-    if np.isnan(rowmax).any():
-        raise NumericError("softmax input contains NaN")
-    if np.isposinf(rowmax).any():
-        raise NumericError("softmax input contains +inf")
-    shift = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.exp(d - shift)
-    total = e.sum(axis=-1, keepdims=True)
-    # total is 0 only on an all -inf row, whose e is all zeros
-    y = e / np.where(total > 0, total, 1.0)
+    y = _softmax_rows(d, _rowmax(d))
+    return _record(y, (t,), _softmax_rule(y))
 
-    def rule(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - inner) * y,)
 
-    return _record(y, (t,), rule)
+def masked_softmax(t: Tensor, keep) -> Tensor:
+    """``softmax_lastdim(masked_fill(t, keep, -inf))`` without the -inf.
+
+    ``keep`` is a constant 0/1 array broadcastable to ``t``. Masked entries
+    get weight exactly 0 and a row with no kept entry maps to zeros, for
+    whatever finite or -inf values the masked entries hold; NaN or +inf
+    anywhere in ``t`` is a numeric error. The row max is taken over
+    ``t + log(keep)``, ``exp`` runs on ``min(t - max, 0)`` and its result
+    is multiplied by the mask, so ``exp`` never sees a masked entry as
+    -inf.
+    """
+    t = as_tensor(t)
+    if t.ndim < 1 or t.shape[-1] < 1:
+        raise ShapeError(f"masked_softmax needs a nonempty last axis, got shape {t.shape}")
+    keep = _keep_mask(keep, t.shape)
+    z = t.data + np.where(keep, 0.0, -np.inf)   # log(keep), built over the mask's shape
+    y = _softmax_rows(t.data, _rowmax(z), keep.astype(np.float64), out=z)
+    return _record(y, (t,), _softmax_rule(y))
 
 
 def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -618,21 +754,22 @@ def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({width},), got {gain.shape} and {bias.shape}"
         )
-    mu = t.data.mean(axis=-1, keepdims=True)
-    centered = t.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = centered * inv
+    y = t.data - _rowsum(t.data) / width
+    inv = 1.0 / np.sqrt(_rowsum(y * y) / width + eps)
+    y *= inv
     gd, bd = gain.data, bias.data
 
     def rule(g):
         dgain = (g * y).reshape(-1, width).sum(axis=0)
         dbias = g.reshape(-1, width).sum(axis=0)
         dy = g * gd
-        dx = inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True))
+        dx = dy - (_rowsum(dy) + y * _rowsum(dy * y)) / width
+        dx *= inv
         return dx, dgain, dbias
 
-    return _record(y * gd + bd, (t, gain, bias), rule)
+    out = y * gd
+    out += bd
+    return _record(out, (t, gain, bias), rule)
 
 
 def conv1d_time(t: Tensor, kernel: Tensor, padding: str = "same") -> Tensor:
@@ -662,20 +799,22 @@ def conv1d_time(t: Tensor, kernel: Tensor, padding: str = "same") -> Tensor:
     else:
         padded = t.data.reshape(n, steps, c_in)
     out_steps = padded.shape[1] - width + 1
-    # im2col: contract (c_in, K) windows against the kernel as one matmul
-    cols = sliding_window_view(padded, width, axis=1).reshape(n * out_steps, c_in * width)
-    kmat = kernel.data.transpose(1, 0, 2).reshape(c_in * width, c_out)
+    # im2col, tap-major: each row holds its K input steps one after another,
+    # so the kernel is the (K c_in, c_out) matrix as it is stored
+    cols = np.ascontiguousarray(sliding_window_view(padded, width, axis=1).transpose(0, 1, 3, 2))
+    cols = cols.reshape(n * out_steps, width * c_in)
+    kmat = kernel.data.reshape(width * c_in, c_out)
     out = (cols @ kmat).reshape(lead + (out_steps, c_out))
     in_shape = t.shape
 
     def rule(g):
         gflat = g.reshape(n * out_steps, c_out)
-        dkernel = (cols.T @ gflat).reshape(c_in, width, c_out).transpose(1, 0, 2)
+        dkernel = (cols.T @ gflat).reshape(kernel.shape)
         # col2im: each tap's column gradient adds back onto the steps it read
-        dcols = (gflat @ kmat.T).reshape(n, out_steps, c_in, width)
+        dcols = (gflat @ kmat.T).reshape(n, out_steps, width, c_in)
         dpadded = np.zeros(padded.shape)
         for tap in range(width):
-            dpadded[:, tap:tap + out_steps, :] += dcols[..., tap]
+            dpadded[:, tap:tap + out_steps, :] += dcols[:, :, tap, :]
         return dpadded[:, pad_left:pad_left + steps, :].reshape(in_shape), dkernel
 
     return _record(out, (t, kernel), rule)

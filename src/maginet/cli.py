@@ -115,10 +115,12 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 raw = json.load(handle)
         except FileNotFoundError:
             raise InputError(f"config file not found: {path}") from None
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: not UTF-8 text") from None
         except json.JSONDecodeError as err:
             raise InputError(f"{path}: invalid JSON: {err}") from None
         if not isinstance(raw, dict):

@@ -212,12 +212,35 @@ class ModelParams:
 # shaped like the features without their last axis. The statistics the
 # ablations use (prefill means, uniform-attention key counts) stay per
 # window.
+#
+# Under no_grad only a name keeps an intermediate alive, so the pieces
+# ``del`` large ones once used: the heap an N=207 pass grows, which glibc
+# returns after the pass and page-faults back in on the next, stays
+# smaller.
 
 
 def _permute(t: Tensor, *core: int) -> Tensor:
     """Transpose the trailing axes of ``t`` by ``core``; leading axes stay."""
     lead = t.ndim - len(core)
     return ad.transpose(t, tuple(range(lead)) + tuple(lead + i for i in core))
+
+
+def _head_weights(params: ModelParams, prefix: str, kind: str, heads: int) -> Tensor:
+    """One kind's per-head (d_in, dh) weights stacked as (heads, d_in, dh)."""
+    return ad.stack([params[f"{prefix}.{kind}{head}"] for head in range(heads)], axis=0)
+
+
+def _scores(x: Tensor, params: ModelParams, prefix: str, config: ModelConfig) -> Tensor:
+    """Scaled dot-product scores (..., heads, rows, rows) of x (..., rows, d_in).
+
+    Every head's queries and keys come from one batched product each,
+    straight in the (..., heads, rows, dh) layout the score product reads.
+    """
+    heads, dh = config.heads, config.dh
+    x1 = ad.reshape(x, (*x.shape[:-2], 1, *x.shape[-2:]))   # a heads axis to broadcast over
+    q = ad.matmul(x1, _head_weights(params, prefix, "q", heads) * (1.0 / math.sqrt(dh)))
+    k = ad.matmul(x1, _head_weights(params, prefix, "k", heads))
+    return ad.matmul(q, _permute(k, 0, 2, 1))
 
 
 def _prefill(x: np.ndarray, m: np.ndarray, mode: str) -> np.ndarray:
@@ -249,43 +272,43 @@ def amst_encode(x: np.ndarray, m: np.ndarray, params: ModelParams, config: Model
     return x_p + params["encoder.pos_time"]
 
 
-def temporal_attention(h: Tensor, m: np.ndarray, a_prev: Tensor, params: ModelParams,
+def temporal_attention(h: Tensor, m: np.ndarray, a_prev: Tensor | None, params: ModelParams,
                        config: ModelConfig, block: int,
                        internals: dict | None = None) -> tuple[Tensor, Tensor]:
     """Masked multi-head self-attention along time, per node.
 
     Scores (..., N, heads, W, W) accumulate across blocks through
-    ``a_prev``; keys at m = 0 get exactly zero weight (neg_inf mode). A
-    query whose keys are all masked receives zero context, so the
-    residual passes the input through. All heads' q/k/v projections run
-    as one product.
+    ``a_prev`` (None in the first block); keys at m = 0 get exactly zero
+    weight (neg_inf mode). A query whose keys are all masked receives
+    zero context, so the residual passes the input through. Each of q, k
+    and v is one batched product over all heads.
     """
-    *lead, n, width, _ = h.shape
+    *lead, n, width, d = h.shape
     p = f"block{block}"
     heads, dh = config.heads, config.dh
-    w_qkv = ad.concat([params[f"{p}.attn.{kind}{head}"] for kind in "qkv" for head in range(heads)],
-                      axis=1)
-    qkv = ad.reshape(ad.matmul(h, w_qkv), (*lead, n, width, 3 * heads, dh))
-    qkv = _permute(qkv, 0, 2, 1, 3)                       # (..., N, 3 heads, W, dh)
-    q, k, v = (ad.slice_axis(qkv, -3, i * heads, (i + 1) * heads) for i in range(3))
-    a_new = ad.matmul(q, _permute(k, 0, 1, 3, 2)) * (1.0 / math.sqrt(dh)) + a_prev
+    a_new = _scores(h, params, f"{p}.attn", config)
+    if a_prev is not None:
+        a_new = a_new + a_prev
+    v = ad.matmul(ad.reshape(h, (*lead, n, 1, width, d)),
+                  _head_weights(params, f"{p}.attn", "v", heads))   # (..., N, heads, W, dh)
     key_mask = m[..., None, None, :]                      # (..., N, 1, 1, W)
     if "no_mastatt" in config.ablations:
         counts = m.sum(axis=-1)[..., None, None, None]
         uniform = np.where(counts > 0, key_mask / np.where(counts > 0, counts, 1.0), 0.0)
         weights = ad.constant(np.broadcast_to(uniform, a_new.shape).copy())
     elif config.mask_mode == "neg_inf":
-        weights = ad.softmax_lastdim(ad.masked_fill(a_new, key_mask, -np.inf))
+        weights = ad.masked_softmax(a_new, key_mask)
     else:
         weights = ad.softmax_lastdim(ad.scale_by(a_new, key_mask))
-    context = _permute(ad.matmul(weights, v), 0, 2, 1, 3)  # (..., N, W, heads, dh)
-    context = ad.reshape(context, (*lead, n, width, heads * dh))
-    mixed = ad.matmul(context, params[f"{p}.attn.w_ctx"]) + params[f"{p}.attn.b_ctx"]
-    h_matt = ad.layer_norm(mixed + h, params[f"{p}.attn.ln.gain"], params[f"{p}.attn.ln.bias"])
     if internals is not None:
         internals.setdefault("temporal_weights", []).append(weights.data.copy())
         internals.setdefault("temporal_scores", []).append(a_new.data.copy())
-    return h_matt, a_new
+    context = _permute(ad.matmul(weights, v), 0, 2, 1, 3)  # (..., N, W, heads, dh)
+    del weights, v
+    mixed = ad.matmul(ad.reshape(context, (*lead, n, width, heads * dh)), params[f"{p}.attn.w_ctx"])
+    del context
+    mixed = mixed + params[f"{p}.attn.b_ctx"] + h
+    return ad.layer_norm(mixed, params[f"{p}.attn.ln.gain"], params[f"{p}.attn.ln.bias"]), a_new
 
 
 def spatial_attention(h_matt: Tensor, m: np.ndarray, params: ModelParams, config: ModelConfig,
@@ -294,27 +317,27 @@ def spatial_attention(h_matt: Tensor, m: np.ndarray, params: ModelParams, config
 
     Collapse = same-padded conv along time, mean pool over the window,
     linear map to the node-embedding size, plus the spatial positions.
-    Returns one (..., N, N) tensor per head; all heads' q/k projections
-    run as one product.
+    Returns one (..., N, N) tensor per head; each of q and k is one
+    batched product over all heads.
     """
-    *lead, n, _, _ = h_matt.shape
+    *lead, n, width, d = h_matt.shape
     p = f"block{block}"
-    heads, dh = config.heads, config.dh
+    heads = config.heads
     if "no_mastatt" in config.ablations:
         flat = ad.constant(np.full((*lead, n, n), 1.0 / n))
         s_heads = [flat for _ in range(heads)]
     else:
-        z = ad.conv1d_time(h_matt, params[f"{p}.collapse.kernel"], "same") + params[f"{p}.collapse.bias"]
-        z = z.mean(axis=-2)
+        # The time mean of a same-padded conv is the "valid" conv of its K
+        # taps' window means: tap k reads steps k - pad .. k - pad + W - 1.
+        taps, pad = config.spatial_kernel, (config.spatial_kernel - 1) // 2
+        means = np.zeros((taps, width))
+        for tap in range(taps):
+            means[tap, max(0, tap - pad):min(width, width + tap - pad)] = 1.0 / width
+        z = ad.conv1d_time(ad.matmul(ad.constant(means), h_matt), params[f"{p}.collapse.kernel"], "valid")
+        z = ad.reshape(z, (*lead, n, d)) + params[f"{p}.collapse.bias"]
         z = ad.matmul(z, params[f"{p}.collapse.w_proj"]) + params[f"{p}.collapse.b_proj"]
         z = z + params["pos_space"]
-        w_qk = ad.concat([params[f"{p}.spatial.{kind}{head}"] for kind in "qk" for head in range(heads)],
-                         axis=1)
-        qk = ad.reshape(ad.matmul(z, w_qk), (*lead, n, 2 * heads, dh))
-        qk = _permute(qk, 1, 0, 2)                        # (..., 2 heads, N, dh)
-        q = ad.slice_axis(qk, -3, 0, heads)
-        k_t = _permute(ad.slice_axis(qk, -3, heads, 2 * heads), 0, 2, 1)
-        s = ad.softmax_lastdim(ad.matmul(q, k_t) * (1.0 / math.sqrt(dh)))   # (..., heads, N, N)
+        s = ad.softmax_lastdim(_scores(z, params, f"{p}.spatial", config))   # (..., heads, N, N)
         s_heads = [ad.reshape(ad.slice_axis(s, -3, head, head + 1), (*lead, n, n))
                    for head in range(heads)]
     if internals is not None:
@@ -328,7 +351,8 @@ def graph_conv(h: Tensor, s_heads: list[Tensor], basis: ChebyshevBasis, params: 
     """Chebyshev aggregation of the block input, modulated by attention.
 
     Order k uses T_k(L~) elementwise-weighted by spatial-attention head
-    (k mod heads), then its own d x d channel mixer.
+    (k mod heads), then its own d x d channel mixer. ``basis`` comes from
+    ``graph.chebyshev_basis``, whose T_0 is the identity.
     """
     if basis.order < 1:
         raise ContractError("graph convolution needs a Chebyshev basis of order >= 1")
@@ -337,8 +361,14 @@ def graph_conv(h: Tensor, s_heads: list[Tensor], basis: ChebyshevBasis, params: 
     h_flat = ad.reshape(h, (*lead, n, width * d))
     out = None
     for k in range(basis.order):
-        weighted = ad.scale_by(s_heads[k % config.heads], basis.matrices[k])
-        mixed = ad.reshape(ad.matmul(weighted, h_flat), (*lead, n, width, d))
+        s = s_heads[k % config.heads]
+        if k == 0:
+            # (T_0 o S) h with T_0 = I scales the rows of h by diag(S)
+            diag = ad.masked_select(s, np.broadcast_to(basis.matrices[0], s.shape))
+            aggregated = ad.broadcast_to(ad.reshape(diag, (*lead, n, 1)), h_flat.shape) * h_flat
+        else:
+            aggregated = ad.matmul(ad.scale_by(s, basis.matrices[k]), h_flat)
+        mixed = ad.reshape(aggregated, (*lead, n, width, d))
         term = ad.matmul(mixed, params[f"{p}.cheb.theta{k}"])
         out = term if out is None else out + term
     return out
@@ -352,18 +382,15 @@ def gated_temporal_conv(e: Tensor, h: Tensor, params: ModelParams, config: Model
     residual-add onto the graph-conv output; the block then re-attaches
     its input through a second projected skip before layer norm.
     """
-    d = e.shape[-1]
     p = f"block{block}"
     if "no_gtconv" not in config.ablations:
-        gated = []
-        for i in range(len(config.kernel_sizes)):
-            c = ad.conv1d_time(e, params[f"{p}.gate{i}.kernel"], "same") + params[f"{p}.gate{i}.bias"]
-            filt = ad.tanh(ad.slice_axis(c, -1, 0, d))
-            gate = ad.sigmoid(ad.slice_axis(c, -1, d, 2 * d))
-            gated.append(filt * gate)
-        cat = ad.concat(gated, axis=-1)
-        merged = ad.matmul(cat, params[f"{p}.merge_gates.w"]) + params[f"{p}.merge_gates.b"]
-        e_out = ad.relu(merged + e)
+        cat = ad.concat([ad.tanh_sigmoid_gate(ad.conv1d_time(e, params[f"{p}.gate{i}.kernel"], "same")
+                                              + params[f"{p}.gate{i}.bias"])
+                         for i in range(len(config.kernel_sizes))], axis=-1)
+        merged = ad.matmul(cat, params[f"{p}.merge_gates.w"])
+        del cat
+        e_out = ad.relu(merged + params[f"{p}.merge_gates.b"] + e)
+        del merged
     else:
         e_out = e
     if internals is not None:
@@ -371,6 +398,21 @@ def gated_temporal_conv(e: Tensor, h: Tensor, params: ModelParams, config: Model
     skip = ad.relu(ad.concat([e_out, h], axis=-1))
     skip = ad.matmul(skip, params[f"{p}.merge_skip.w"]) + params[f"{p}.merge_skip.b"]
     return ad.layer_norm(skip, params[f"{p}.ln_out.gain"], params[f"{p}.ln_out.bias"])
+
+
+def _block(h: Tensor, m: np.ndarray, a_prev: Tensor | None, params: ModelParams,
+           config: ModelConfig, basis: ChebyshevBasis, block: int,
+           internals: dict | None) -> tuple[Tensor, Tensor]:
+    """One spatio-temporal block: its output and its accumulated scores.
+    What the block computes on the way dies when it returns."""
+    h_matt, a_new = temporal_attention(h, m, a_prev, params, config, block, internals)
+    s_heads = spatial_attention(h_matt, m, params, config, block, internals)
+    if "no_graphconv" in config.ablations:
+        e = h
+    else:
+        e = graph_conv(h, s_heads, basis, params, config, block)
+    del h_matt, s_heads   # before the gated convolutions' large temporaries
+    return gated_temporal_conv(e, h, params, config, block, internals), a_new
 
 
 def forward(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConfig,
@@ -385,7 +427,7 @@ def forward(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConf
     m = np.asarray(m, dtype=np.float64)
     if x.ndim not in (3, 4):
         raise ContractError(f"features must be (N, W, C) or (B, N, W, C), got shape {x.shape}")
-    *lead, n_nodes, width, n_feat = x.shape
+    n_nodes, width, n_feat = x.shape[-3:]
     zu = params["encoder.missing_embed"]
     if zu.shape[0] != n_nodes or zu.shape[1] != width or params["encoder.w_obs"].shape[0] != n_feat:
         raise ContractError(
@@ -402,19 +444,11 @@ def forward(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConf
     # alongside. Within a block the graph convolution aggregates the
     # block input itself, not the attention context, whose job is to
     # shape the aggregation weights.
-    a_prev: Tensor = ad.constant(np.zeros((*lead, n_nodes, config.heads, width, width)))
+    a_prev = None
     total = None
-    h_in = h
     for b in range(config.blocks):
-        h_matt, a_prev = temporal_attention(h_in, m, a_prev, params, config, b, internals)
-        s_heads = spatial_attention(h_matt, m, params, config, b, internals)
-        if "no_graphconv" in config.ablations:
-            e = h_in
-        else:
-            e = graph_conv(h_in, s_heads, basis, params, config, b)
-        h_out = gated_temporal_conv(e, h_in, params, config, b, internals)
-        total = h_out if total is None else total + h_out
-        h_in = h_out
+        h, a_prev = _block(h, m, a_prev, params, config, basis, b, internals)
+        total = h if total is None else total + h
     hidden = ad.relu(ad.matmul(total, params["head.w1"]) + params["head.b1"])
     return ad.matmul(hidden, params["head.w2"]) + params["head.b2"]
 
@@ -481,8 +515,11 @@ def save_checkpoint(path, model: MagiNet, comment: str | None = None) -> None:
 
 
 def load_checkpoint(path, graph: TrafficGraph) -> MagiNet:
-    with open(path) as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     body = "\n".join(line for line in lines if not line.startswith("#"))
     try:
         payload = json.loads(body)

@@ -411,3 +411,238 @@ def test_no_grad_blocks_recording():
     with ad.no_grad():
         y = (x * x).sum()
     assert y._rule is None and not y.requires_grad
+
+
+# ---------------------------------------------------------------- kernels against their former formulas
+#
+# Each ref_* below is the formula its kernel used before the kernel went
+# branch-free (no select over tensor data, trailing sums as products with
+# a ones vector, the softmax mask applied by multiplication). The kernels
+# must agree with them to 1e-12 relative, and exactly where no sum changed
+# order: relu, masked_fill and the weights of masked keys.
+
+
+def ref_relu(x):
+    return np.where(x > 0, x, 0.0)
+
+
+def ref_sigmoid(x):
+    e_neg = np.exp(np.clip(x, None, 0))
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, 0, None))), e_neg / (1.0 + e_neg))
+
+
+def ref_masked_fill(x, keep, value):
+    return np.where(keep != 0, x, value)
+
+
+def ref_softmax(x):
+    rowmax = np.max(x, axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(rowmax), rowmax, 0.0)
+    e = np.exp(x - shift)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / np.where(total > 0, total, 1.0)
+
+
+def ref_softmax_backward(y, g):
+    return (g - (g * y).sum(axis=-1, keepdims=True)) * y
+
+
+def ref_layer_norm(x, gain, bias, eps=1e-5):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    return centered * inv * gain + bias
+
+
+def ref_layer_norm_backward(x, gain, g, eps=1e-5):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    y = centered * inv
+    dy = g * gain
+    return inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True))
+
+
+def ref_conv1d(x, kernel, padding):
+    """im2col with each row's window laid out (c_in, K), channel-major."""
+    from numpy.lib.stride_tricks import sliding_window_view
+    width, c_in, c_out = kernel.shape
+    lead, steps = x.shape[:-2], x.shape[-2]
+    n = int(np.prod(lead, dtype=np.int64))
+    pad_left = (width - 1) // 2 if padding == "same" else 0
+    if padding == "same":
+        padded = np.zeros((n, steps + width - 1, c_in))
+        padded[:, pad_left:pad_left + steps, :] = x.reshape(n, steps, c_in)
+    else:
+        padded = x.reshape(n, steps, c_in)
+    out_steps = padded.shape[1] - width + 1
+    cols = sliding_window_view(padded, width, axis=1).reshape(n * out_steps, c_in * width)
+    kmat = kernel.transpose(1, 0, 2).reshape(c_in * width, c_out)
+    return (cols @ kmat).reshape(lead + (out_steps, c_out))
+
+
+def assert_close(got, want, rtol=1e-12):
+    """Agreement to ``rtol`` relative to the reference's largest magnitude
+    (entries that cancel to near 0 have no meaningful relative error)."""
+    want = np.asarray(want)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max()), np.abs(got - want).max()
+
+
+def scores_with_mask(shape, share=0.4, seed=0):
+    """Scores (..., Q, W) and a keep mask (..., 1, W) broadcast over the
+    queries, as temporal attention builds them; row 0 keeps no key."""
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(0.0, 4.0, shape)
+    keep = (rng.random(shape[:-2] + (1, shape[-1])) > share).astype(float)
+    keep.reshape(-1, shape[-1])[0] = 0.0
+    return scores, keep
+
+
+def grad_of(build, leaf, weights):
+    leaf.zero_grad()
+    (build(leaf) * ad.constant(weights)).sum().backward()
+    return leaf.grad
+
+
+@pytest.mark.parametrize("width", [2, 12, 40])   # 40 rows reduce by np.max, shorter by columns
+def test_softmax_lastdim_matches_reference(width):
+    x = RNG.normal(0.0, 5.0, (6, 3, width))
+    x[0, 1, :] = -np.inf
+    x[2, :, : width // 2] = -np.inf
+    got = ad.softmax_lastdim(ad.constant(x)).data
+    want = ref_softmax(x)
+    assert_close(got, want)
+    assert np.array_equal(got[x == -np.inf], np.zeros(int((x == -np.inf).sum())))
+    assert np.array_equal(got[0, 1], np.zeros(width))
+    g = RNG.standard_normal(x.shape)
+    assert_close(grad_of(ad.softmax_lastdim, ad.parameter(x), g), ref_softmax_backward(want, g))
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 12, 12), (4, 2, 2), (3, 40, 40)])
+def test_masked_softmax_matches_masked_fill_then_softmax(shape):
+    scores, keep = scores_with_mask(shape)
+    got = ad.masked_softmax(ad.constant(scores), keep).data
+    want = ref_softmax(ref_masked_fill(scores, keep, -np.inf))
+    assert_close(got, want)
+    masked = np.broadcast_to(keep, shape) == 0
+    assert np.array_equal(got[masked], np.zeros(int(masked.sum())))   # exactly 0.0
+    assert np.array_equal(got.reshape(-1, shape[-2], shape[-1])[0], np.zeros(shape[-2:]))
+    g = RNG.standard_normal(shape)
+    grad = grad_of(lambda s: ad.masked_softmax(s, keep), ad.parameter(scores), g)
+    assert_close(grad, ref_softmax_backward(want, g))
+    assert np.array_equal(grad[masked], np.zeros(int(masked.sum())))
+
+
+def test_masked_softmax_ignores_whatever_masked_entries_hold():
+    scores, keep = scores_with_mask((4, 3, 12, 12), seed=1)
+    base = ad.masked_softmax(ad.constant(scores), keep).data
+    masked = np.broadcast_to(keep, scores.shape) == 0
+    rng = np.random.default_rng(2)
+    for fill in (rng.uniform(-50, 50, scores.shape), np.full(scores.shape, 1e300),
+                 np.full(scores.shape, -1e300), np.full(scores.shape, -np.inf),
+                 np.full(scores.shape, 800.0)):
+        fuzzed = np.where(masked, fill, scores)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = ad.masked_softmax(ad.constant(fuzzed), keep).data
+        assert np.array_equal(out, base)
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "NaN"), (np.inf, r"\+inf")])
+def test_masked_softmax_nan_or_posinf_row_raises(bad, message):
+    scores, keep = scores_with_mask((3, 2, 4, 4), seed=3)
+    scores[1, 0, 2, np.flatnonzero(keep[1, 0, 0])[0]] = bad
+    with pytest.raises(NumericError, match=message):
+        ad.masked_softmax(ad.constant(scores), keep)
+    with pytest.raises(NumericError, match=message):
+        ad.softmax_lastdim(ad.constant(scores))
+
+
+def test_masked_softmax_rejects_a_mask_that_does_not_broadcast():
+    with pytest.raises(ShapeError):
+        ad.masked_softmax(ad.constant(np.zeros((2, 3))), np.ones((3, 3)))
+
+
+def test_relu_matches_reference_exactly():
+    x = np.concatenate([RNG.normal(0.0, 3.0, 200), [0.0, -0.0, np.inf, -np.inf, 1e-320, -1e-320]])
+    leaf = ad.parameter(x)
+    out = ad.relu(leaf)
+    assert np.array_equal(out.data, ref_relu(x))
+    g = RNG.standard_normal(x.shape)
+    (out * ad.constant(g)).sum().backward()
+    assert np.array_equal(leaf.grad, g * (x > 0))
+
+
+def test_sigmoid_matches_reference_and_never_overflows():
+    x = np.concatenate([RNG.normal(0.0, 20.0, 400), [800.0, -800.0, 0.0, -0.0, 36.0, -36.0]])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = ad.sigmoid(ad.constant(x)).data
+    assert_close(got, ref_sigmoid(x))
+    assert np.allclose(got, ref_sigmoid(x), rtol=1e-12, atol=0.0)   # per entry, tiny ones too
+    assert got[-6] == 1.0 and got[-5] == 0.0 and got[-4] == got[-3] == 0.5
+
+
+@pytest.mark.parametrize("value", [-np.inf, 0.25, -0.0])
+def test_masked_fill_matches_reference_exactly(value):
+    x = RNG.standard_normal((4, 3, 5))
+    keep = (RNG.random((3, 1)) > 0.5).astype(float)
+    leaf = ad.parameter(x)
+    out = ad.masked_fill(leaf, keep, value)
+    assert np.array_equal(out.data, ref_masked_fill(x, keep, value))
+    g = RNG.standard_normal(x.shape)
+    kept = np.broadcast_to(keep, x.shape)
+    (ad.masked_select(out, kept) * ad.constant(g[kept != 0])).sum().backward()
+    assert np.array_equal(leaf.grad, ref_masked_fill(g, keep, 0.0))
+
+
+def test_layer_norm_matches_reference():
+    x = RNG.normal(3.0, 2.0, (5, 7, 16))
+    gain, bias = RNG.standard_normal(16), RNG.standard_normal(16)
+    got = ad.layer_norm(ad.constant(x), ad.constant(gain), ad.constant(bias)).data
+    assert_close(got, ref_layer_norm(x, gain, bias))
+    g = RNG.standard_normal(x.shape)
+    grad = grad_of(lambda t: ad.layer_norm(t, ad.constant(gain), ad.constant(bias)), ad.parameter(x), g)
+    assert_close(grad, ref_layer_norm_backward(x, gain, g))
+
+
+@pytest.mark.parametrize("c_in", [2, 3])
+@pytest.mark.parametrize("width", [1, 3, 5])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+def test_conv1d_matches_channel_major_im2col(padding, width, c_in):
+    x = RNG.standard_normal((2, 3, 7, c_in))
+    kernel = RNG.standard_normal((width, c_in, 4))
+    got = ad.conv1d_time(ad.constant(x), ad.constant(kernel), padding).data
+    assert_close(got, ref_conv1d(x, kernel, padding))
+
+
+@pytest.mark.parametrize("d", [1, 3])   # d=1: the narrowest gate, two channels in
+def test_tanh_sigmoid_gate_matches_its_parts(d):
+    c = RNG.normal(0.0, 3.0, (4, 5, 2 * d))
+    c[0, 0, :] = [800.0] * d + [-800.0] * d
+    with np.errstate(over="raise"):
+        got = ad.tanh_sigmoid_gate(ad.constant(c)).data
+    assert_close(got, np.tanh(c[..., :d]) * ref_sigmoid(c[..., d:]))
+    with pytest.raises(ShapeError):
+        ad.tanh_sigmoid_gate(ad.constant(np.zeros((2, 3))))
+
+
+def test_grad_masked_softmax():
+    scores, keep = scores_with_mask((2, 3, 5), share=0.3, seed=4)   # row 0 keeps no key
+    x = ad.parameter(scores)
+    w = ad.constant(RNG.standard_normal(scores.shape))
+    _assert_grads(lambda: (ad.masked_softmax(x, keep) * w).sum(), {"x": x})
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_grad_tanh_sigmoid_gate(d):
+    x = rand_leaf(3, 4, 2 * d)
+    w = ad.constant(RNG.standard_normal((3, 4, d)))
+    _assert_grads(lambda: (ad.tanh_sigmoid_gate(x) * w).sum(), {"x": x})
+
+
+@pytest.mark.parametrize("width", [1, 3, 5])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+def test_grad_conv1d_widths(padding, width):
+    x, k = rand_leaf(2, 7, 2), rand_leaf(width, 2, 3)
+    steps = 7 if padding == "same" else 7 - width + 1
+    w = ad.constant(RNG.standard_normal((2, steps, 3)))
+    _assert_grads(lambda: (ad.conv1d_time(x, k, padding) * w).sum(), {"x": x, "k": k})
+

@@ -320,6 +320,26 @@ def test_eval_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, flag):
     assert f"input error: {tmp_path / files[flag][0]}: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_eval_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    series, adj = generate_tiny(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_bytes(b'{"ratio": 0.4}\n\xff')
+    code = run(["eval", "--series", str(series), "--adj", str(adj), "--config", str(config),
+                "--methods", "mean", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"input error: {config}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_impute_checkpoint_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    series, adj = generate_tiny(tmp_path)
+    checkpoint = tmp_path / "k.json"
+    checkpoint.write_bytes(b'{"format_version": 1}\n\xff')
+    code = run(["impute", "--series", str(series), "--adj", str(adj),
+                "--checkpoint", str(checkpoint), "--out", str(tmp_path / "imp")])
+    assert code == 2
+    assert f"input error: {checkpoint}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_eval_maginet_rmse_equals_train_test_rmse(tmp_path):
     # 100 windows of 12 steps: the 10 test windows take two chunks of EVAL_CHUNK
     series, adj = generate_tiny(tmp_path, steps=1200)

@@ -545,17 +545,24 @@ def test_batched_forward_gradients_match_finite_differences():
 
 
 def test_batched_forward_masked_input_invariance():
+    # overwrite one window's m = 0 entries with values of every magnitude:
+    # neither the output nor any attention weight may move by one bit
     model = mm.MagiNet(mm.ModelConfig(), ring(5), width=8, n_features=1, seed=3)
     ws = batch_windows()
     x, m = stacked(ws, "x"), stacked(ws, "m")
+    base_internals = {}
     with ad.no_grad():
-        base = model.forward(x, m).data
+        base = model.forward(x, m, base_internals).data
     rng = np.random.default_rng(5)
-    for _ in range(10):
+    for scale in (50.0,) * 10 + (1e6, 1e150, 1e300):
         fuzzed = np.array(x)
-        fuzzed[1] += rng.uniform(-50, 50, x[1].shape) * (m[1][:, :, None] == 0.0)
+        fuzzed[1] += rng.uniform(-scale, scale, x[1].shape) * (m[1][:, :, None] == 0.0)
+        internals = {}
         with ad.no_grad():
-            assert np.array_equal(model.forward(fuzzed, m).data, base)
+            assert np.array_equal(model.forward(fuzzed, m, internals).data, base)
+        for key in ("temporal_weights", "temporal_scores", "spatial_weights"):
+            for got, want in zip(internals[key], base_internals[key]):
+                assert np.array_equal(got, want), key
 
 
 def test_single_window_keeps_unbatched_shapes():
@@ -586,3 +593,55 @@ def test_forward_rejects_mask_not_matching_batch():
     w = random_window(n=4, width=8)
     with pytest.raises(ContractError):
         model.forward(np.stack([w.x, w.x]), w.m)
+
+
+def test_batched_temporal_weights_are_exactly_zero_at_masked_keys():
+    # window 1 of the stack never observes node 2: its rows are all zeros
+    model = mm.MagiNet(mm.ModelConfig(), ring(5), width=8, n_features=1, seed=3)
+    ws = batch_windows()
+    m = stacked(ws, "m")
+    assert not m[1, 2].any()
+    internals = {}
+    with ad.no_grad():
+        model.forward(stacked(ws, "x"), m, internals)
+    for weights in internals["temporal_weights"]:           # (B, N, heads, W, W)
+        masked = np.broadcast_to((m == 0.0)[:, :, None, None, :], weights.shape)
+        assert np.array_equal(weights[masked], np.zeros(int(masked.sum())))
+        assert np.array_equal(weights[1, 2], np.zeros_like(weights[1, 2]))
+        sums = weights.sum(axis=-1)
+        expected = np.broadcast_to((m.sum(axis=-1) > 0)[:, :, None, None], sums.shape)
+        assert np.allclose(sums, expected, rtol=0.0, atol=1e-12)
+
+
+def test_graph_conv_matches_the_dense_chebyshev_sum():
+    # order 0 runs as a row scale by diag(S); the dense (T_0 o S) h is the reference
+    cfg = tiny_config(cheb_order=3, heads=2)
+    model = mm.MagiNet(cfg, ring(5), width=4, n_features=1, seed=2)
+    rng = np.random.default_rng(12)
+    h = rng.standard_normal((2, 5, 4, cfg.d))
+    s_heads = [rng.random((2, 5, 5)) for _ in range(cfg.heads)]
+    got = mm.graph_conv(ad.constant(h), [ad.constant(s) for s in s_heads], model.basis,
+                        model.params, cfg, 0).data
+    h_flat = h.reshape(2, 5, 4 * cfg.d)
+    want = sum((((model.basis.matrices[k] * s_heads[k % cfg.heads]) @ h_flat).reshape(h.shape)
+                @ model.params[f"block0.cheb.theta{k}"].data) for k in range(cfg.cheb_order))
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("taps", [1, 2, 3, 5])
+def test_spatial_attention_matches_conv_then_time_mean(taps):
+    # the collapse runs as a valid conv of window means; the reference is
+    # the same-padded conv over every step followed by the time mean
+    cfg = tiny_config(spatial_kernel=taps, heads=2)
+    model = mm.MagiNet(cfg, ring(4), width=6, n_features=1, seed=5)
+    p = model.params
+    h = np.random.default_rng(taps).standard_normal((2, 4, 6, cfg.d))
+    heads = mm.spatial_attention(ad.constant(h), np.ones((2, 4, 6)), p, cfg, 0)
+    conv = ad.conv1d_time(ad.constant(h), p["block0.collapse.kernel"], "same").data
+    z = (conv + p["block0.collapse.bias"].data).mean(axis=-2)
+    z = z @ p["block0.collapse.w_proj"].data + p["block0.collapse.b_proj"].data + p["pos_space"].data
+    for head, got in enumerate(heads):
+        scores = (z @ p[f"block0.spatial.q{head}"].data) @ (z @ p[f"block0.spatial.k{head}"].data).swapaxes(-1, -2)
+        scores = scores / math.sqrt(cfg.dh)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        assert np.allclose(got.data, e / e.sum(axis=-1, keepdims=True), rtol=1e-12, atol=1e-14)
