@@ -1,4 +1,4 @@
-"""Spectral machinery: Laplacians, power iteration, Chebyshev bases.
+"""Spectral machinery: Laplacians, the scaled Laplacian, Chebyshev bases.
 
 Run:  python demos/02_graph_spectra.py
 """
@@ -6,7 +6,7 @@ Run:  python demos/02_graph_spectra.py
 import numpy as np
 
 from maginet.data import synthetic_graph
-from maginet.graph import TrafficGraph, build_basis, scaled_laplacian, spectrum_bounds
+from maginet.graph import TrafficGraph, build_basis, scaled_laplacian
 
 # Two hand instances with known spectra.
 path = TrafficGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -19,12 +19,11 @@ l_tilde, lam = scaled_laplacian(triangle)
 print("\ntriangle: lambda_max =", lam, "(eigenvalues of L are {0, 3, 3})")
 print("L~ diagonal:", np.diagonal(l_tilde))
 
-# The scaled Laplacian squeezes the spectrum into [-1, 1]; plain power
-# iteration on L~ itself would oscillate between the +1/-1 eigenspaces,
-# so the bounds come from shifted (positive-definite) iterations.
+# The scaled Laplacian squeezes the spectrum of L into [-1, 1].
 ring = synthetic_graph(10, extra_edges=3, seed=0)
 l_tilde, lam = scaled_laplacian(ring)
-lam_lo, lam_hi = spectrum_bounds(l_tilde)
+spectrum = np.linalg.eigvalsh(l_tilde)
+lam_lo, lam_hi = spectrum[0], spectrum[-1]
 print(f"\n10-node ring+chords: lambda_max(L) = {lam:.6f}, "
       f"spectrum of L~ in [{lam_lo:.9f}, {lam_hi:.9f}] (must be within [-1, 1])")
 

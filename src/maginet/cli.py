@@ -41,6 +41,14 @@ class UsageError(MagiNetError):
     pass
 
 
+_ITEM_TYPES = {"kernel_sizes": int, "ablations": str}  # element type of each list field
+
+
+def _is_a(value, kind: type) -> bool:
+    """JSON type check: bools are not numbers, and an integer is a valid float."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass
 class RunConfig:
     """Every knob of the pipeline; round-trips losslessly through JSON."""
@@ -106,10 +114,21 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(raw) - set(defaults)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            kind = type(defaults[key])
+            if kind is tuple:
+                item = _ITEM_TYPES[key]
+                ok = isinstance(value, list) and all(_is_a(v, item) for v in value)
+                expected = f"a list of {item.__name__}"
+            else:
+                ok = _is_a(value, kind)
+                expected = kind.__name__
+            if not ok:
+                raise InputError(f"config key {key!r} must be {expected}, got {value!r}")
         return cls(**raw)
 
     @classmethod

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (IncompleteWindow, Normalizer, SeriesMatrix, draw_eval_mask, make_windows,
-                   node_means, split, write_rows)
+from .data import (IncompleteWindow, SeriesMatrix, draw_eval_mask, make_windows, node_means,
+                   split, write_rows)
 from .errors import ContractError, EmptyMaskError, InputError
 from .graph import TrafficGraph
 from .model import VARIANT_TOGGLES, MagiNet, ModelConfig
@@ -223,18 +223,16 @@ def evaluate_baseline(method: str, windows: list[IncompleteWindow], knn_k: int =
 
 
 def train_and_score(model_config: ModelConfig, train_config, graph: TrafficGraph,
-                    splits: tuple[list, list, list], seed: int) -> tuple[float, float, "MagiNet"]:
+                    splits: tuple[list, list, list], seed: int) -> tuple[float, float]:
     """Train on the first two splits, score pooled metrics on the third."""
     from .training import evaluate_model, train_model  # deferred: training imports our metrics
 
     train_ws, valid_ws, test_ws = splits
     width = train_ws[0].width
     n_features = train_ws[0].n_features
-    model = MagiNet(model_config, graph, width=width, n_features=n_features, seed=seed,
-                    normalizer=Normalizer.fit(train_ws))
+    model = MagiNet(model_config, graph, width=width, n_features=n_features, seed=seed)
     train_model(model, train_ws, valid_ws, train_config)
-    test_rmse, test_mape = evaluate_model(model, test_ws)
-    return test_rmse, test_mape, model
+    return evaluate_model(model, test_ws)
 
 
 def _ratio_seed(seed: int, ratio: float) -> int:
@@ -256,7 +254,7 @@ def run_sweep_cell(series: SeriesMatrix, graph: TrafficGraph, ratio: float, meth
     if method in BASELINES:
         cell_rmse, cell_mape = evaluate_baseline(method, splits[2], knn_k)
     elif method == "maginet":
-        cell_rmse, cell_mape, _ = train_and_score(model_config, train_config, graph, splits, seed)
+        cell_rmse, cell_mape = train_and_score(model_config, train_config, graph, splits, seed)
     else:
         raise InputError(f"unknown method {method!r}")
     runtime = time.perf_counter() - start
@@ -307,7 +305,7 @@ def ablation_run(series: SeriesMatrix, graph: TrafficGraph, variants: list[str],
 
     def run(label: str, config: ModelConfig):
         start = time.perf_counter()
-        row_rmse, row_mape, _ = train_and_score(config, train_config, graph, splits, seed)
+        row_rmse, row_mape = train_and_score(config, train_config, graph, splits, seed)
         report.rows.append(ReportRow(method=label, dataset=dataset, ratio=ratio, seed=seed,
                                      rmse=row_rmse, mape=row_mape,
                                      runtime_s=time.perf_counter() - start))

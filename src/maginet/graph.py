@@ -1,8 +1,8 @@
 """Traffic-graph representation and spectral machinery.
 
 The graph convolution operates on Chebyshev polynomials of the scaled
-Laplacian L~ = (2/lambda_max)(D - A) - I, with lambda_max estimated by
-power iteration so no dense eigendecomposition is ever needed.
+Laplacian L~ = (2/lambda_max)(D - A) - I. lambda_max comes from one dense
+symmetric eigensolve; the Chebyshev basis is dense N x N anyway.
 """
 
 from __future__ import annotations
@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InputError, NumericError, ShapeError
+from .errors import ContractError, InputError, ShapeError
 
-POWER_TOL = 1e-9
-POWER_MAX_ITER = 10_000
 EDGELESS_LAMBDA = 2.0  # fallback so L~ stays defined for (near-)edgeless graphs
 
 
@@ -27,7 +25,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrafficGraph:
-    """Undirected weighted sensor graph: nonnegative adjacency, no self-loops."""
+    """Undirected weighted sensor graph: symmetric nonnegative adjacency, no
+    self-loops, and every degree small enough that twice it, which bounds the
+    Laplacian's spectrum, is finite."""
 
     adjacency: np.ndarray
     degree: np.ndarray = field(init=False)
@@ -42,8 +42,14 @@ class TrafficGraph:
             raise InputError("adjacency contains negative weights")
         if np.diagonal(adj).any():
             raise InputError("adjacency has self-loops; strip them before constructing the graph")
+        if not np.array_equal(adj, adj.T):
+            raise InputError("adjacency is not symmetric")
+        with np.errstate(over="ignore"):
+            degree = adj.sum(axis=1)
+            if not np.isfinite(2.0 * degree).all():
+                raise InputError("adjacency weights overflow: twice a node's degree exceeds float64")
         object.__setattr__(self, "adjacency", _frozen(adj))
-        object.__setattr__(self, "degree", _frozen(adj.sum(axis=1)))
+        object.__setattr__(self, "degree", _frozen(degree))
 
     @property
     def n_nodes(self) -> int:
@@ -53,61 +59,10 @@ class TrafficGraph:
         return np.diag(self.degree) - self.adjacency
 
 
-def power_iteration(mat: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER,
-                    seed: int = 0) -> float:
-    """Dominant (largest-magnitude) eigenvalue of a symmetric matrix.
-
-    Convergence is judged on the eigenvector residual ||Av - lam*v||, not
-    on successive Rayleigh quotients: a +lam/-lam dominant pair makes the
-    quotient plateau at a bogus value while the iterate oscillates, and
-    only the residual exposes that. After reaching ``tol`` the loop keeps
-    polishing toward machine precision within the same budget, so two
-    row/column permutations of one matrix agree far below ``tol``.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    n = mat.shape[0]
-    v = np.random.default_rng(seed).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    met_tol = False
-    polish = 128.0 * np.finfo(np.float64).eps
-    for _ in range(max_iter):
-        w = mat @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0  # v landed in the null space; the matrix is (near-)zero on it
-        lam = float(v @ w)
-        residual = float(np.linalg.norm(w - lam * v))
-        scale = max(1.0, abs(lam))
-        if residual <= tol * scale:
-            met_tol = True
-        if residual <= polish * scale:
-            return lam
-        v = w / norm
-    if met_tol:
-        return lam
-    raise NumericError(f"power iteration did not reach tol={tol} within {max_iter} iterations")
-
-
-def spectrum_bounds(mat: np.ndarray, tol: float = POWER_TOL) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a symmetric matrix via shifted power iteration.
-
-    Shifting by +/-(I * bound) makes each extreme eigenvalue the unique
-    dominant one, which plain power iteration on the raw matrix cannot
-    guarantee when the spectrum straddles zero symmetrically.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    bound = float(np.abs(mat).sum(axis=1).max())  # Gershgorin radius
-    eye = np.eye(mat.shape[0])
-    lam_hi = power_iteration(mat + bound * eye, tol=tol) - bound
-    lam_lo = bound - power_iteration(bound * eye - mat, tol=tol)
-    return lam_lo, lam_hi
-
-
 def scaled_laplacian(graph: TrafficGraph) -> tuple[np.ndarray, float]:
     """Return (L~, lambda_max) with L~ = (2/lambda_max) L - I."""
     lap = graph.laplacian()
-    lam = power_iteration(lap)
+    lam = float(np.linalg.eigvalsh(lap)[-1])
     if lam < 1e-12:
         lam = EDGELESS_LAMBDA
     return (2.0 / lam) * lap - np.eye(graph.n_nodes), lam
@@ -119,10 +74,9 @@ class ChebyshevBasis:
 
     order: int
     matrices: tuple[np.ndarray, ...]
-    lambda_max: float
 
 
-def chebyshev_basis(l_tilde: np.ndarray, order: int, lambda_max: float = float("nan")) -> ChebyshevBasis:
+def chebyshev_basis(l_tilde: np.ndarray, order: int) -> ChebyshevBasis:
     """T_0 = I, T_1 = L~, T_k = 2 L~ T_{k-1} - T_{k-2}."""
     if order < 1:
         raise ContractError(f"Chebyshev order must be >= 1, got {order}")
@@ -133,12 +87,11 @@ def chebyshev_basis(l_tilde: np.ndarray, order: int, lambda_max: float = float("
         mats.append(l_tilde.copy())
     for _ in range(2, order):
         mats.append(2.0 * (l_tilde @ mats[-1]) - mats[-2])
-    return ChebyshevBasis(order=order, matrices=tuple(_frozen(m) for m in mats), lambda_max=lambda_max)
+    return ChebyshevBasis(order=order, matrices=tuple(_frozen(m) for m in mats))
 
 
 def build_basis(graph: TrafficGraph, order: int) -> ChebyshevBasis:
-    l_tilde, lam = scaled_laplacian(graph)
-    return chebyshev_basis(l_tilde, order, lambda_max=lam)
+    return chebyshev_basis(scaled_laplacian(graph)[0], order)
 
 
 # -- adjacency file format ------------------------------------------------

@@ -170,6 +170,16 @@ def test_train_missing_adjacency_exits_2_with_path(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_train_adjacency_overflowing_a_degree_exits_2(tmp_path, capsys):
+    series, _ = generate_tiny(tmp_path)
+    big = tmp_path / "big.csv"
+    big.write_text("src,dst,weight\n0,1,1e308\n0,2,1e308\n")
+    code = run(["train", "--series", str(series), "--adj", str(big), "--out",
+                str(tmp_path / "r")] + TRAIN_FAST)
+    assert code == 2
+    assert "input error: adjacency weights overflow" in capsys.readouterr().err
+
+
 def test_train_epoch1_loss_deterministic(tmp_path):
     series, adj = generate_tiny(tmp_path)
     losses = []
@@ -441,6 +451,40 @@ def test_config_unknown_key_rejected(tmp_path):
     path.write_text('{"d": 8, "wat": 1}')
     with pytest.raises(InputError):
         cli.RunConfig.from_file(path)
+
+
+@pytest.mark.parametrize("config,command", [
+    ('{"width": "12"}', "eval"),
+    ('{"ratio": "0.5"}', "mask"),
+    ('{"kernel_sizes": 3}', "train"),
+    ('{"ablations": "no_gtconv"}', "train"),
+], ids=["width", "ratio", "kernel_sizes", "ablations"])
+def test_mistyped_config_value_exits_2_naming_the_key(tmp_path, capsys, config, command):
+    series, adj = generate_tiny(tmp_path)
+    path = tmp_path / "c.json"
+    path.write_text(config)
+    argv = [command, "--series", str(series), "--config", str(path), "--out", str(tmp_path / "o")]
+    if command != "mask":
+        argv += ["--adj", str(adj)]
+    assert run(argv) == 2
+    key = next(iter(json.loads(config)))
+    assert f"input error: config key {key!r} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value,accepted", [
+    ({"ratio": 1}, True), ({"width": 12.0}, False), ({"seed": True}, False),
+    ({"learning_rate": False}, False), ({"kernel_sizes": [3, 5.0]}, False),
+    ({"ablations": ["no_gtconv", 1]}, False), ({"mask_mode": 0}, False),
+], ids=["int_as_float", "float_as_int", "bool_as_int", "bool_as_float", "float_in_int_list",
+        "int_in_str_list", "int_as_str"])
+def test_config_value_types(tmp_path, value, accepted):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(value))
+    if accepted:
+        cli.RunConfig.from_file(path)
+    else:
+        with pytest.raises(InputError, match="must be"):
+            cli.RunConfig.from_file(path)
 
 
 def test_flags_override_config(tmp_path):

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from maginet.errors import ContractError, InputError, NumericError
+from maginet.errors import ContractError, InputError
 from maginet.graph import (
     ChebyshevBasis,
     TrafficGraph,
     build_basis,
     chebyshev_basis,
     load_adjacency,
-    power_iteration,
     save_adjacency,
     scaled_laplacian,
-    spectrum_bounds,
 )
 
 
@@ -40,6 +38,22 @@ def test_self_loops_rejected():
 def test_negative_weight_rejected():
     with pytest.raises(InputError):
         TrafficGraph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+
+def test_non_symmetric_adjacency_rejected():
+    with pytest.raises(InputError, match="not symmetric"):
+        TrafficGraph(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (0, 2)], [(0, 1)]], ids=["degree", "spectrum"])
+def test_degree_overflow_rejected(edges):
+    # every weight is finite, but node 0's degree (2e308) or the Laplacian's
+    # largest eigenvalue (2e308, twice the degree on one edge) is not
+    adj = np.zeros((3, 3))
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = 1e308
+    with pytest.raises(InputError, match="overflow"):
+        TrafficGraph(adj)
 
 
 def test_laplacian_row_sums_exactly_zero():
@@ -86,29 +100,48 @@ def test_scaled_laplacian_symmetric_and_bounded():
     adj = np.triu(adj, 1)
     adj = adj + adj.T
     l_tilde, _ = scaled_laplacian(TrafficGraph(adj))
-    assert np.allclose(l_tilde, l_tilde.T, atol=1e-12)
-    lam_lo, lam_hi = spectrum_bounds(l_tilde)
-    assert lam_hi <= 1.0 + 1e-8
-    assert lam_lo >= -1.0 - 1e-8
+    assert np.array_equal(l_tilde, l_tilde.T)
+    spectrum = np.linalg.eigvalsh(l_tilde)
+    # L is positive semidefinite with a zero eigenvalue, so L~ spans exactly [-1, 1]
+    assert abs(spectrum[0] + 1.0) < 1e-12
+    assert abs(spectrum[-1] - 1.0) < 1e-12
 
 
-def test_power_iteration_known_matrix():
-    mat = np.diag([1.0, -4.0, 3.0])
-    assert abs(power_iteration(mat) - (-4.0)) < 1e-9
+def random_weighted(rng, n, density):
+    adj = rng.uniform(0.1, 5.0, (n, n)) * (rng.random((n, n)) < density)
+    adj = np.triu(adj, 1)
+    return adj + adj.T
 
 
-def test_power_iteration_rejects_symmetric_pm_pair():
-    # eigenvalues +1 and -1 tie in magnitude; the iterate oscillates and
-    # must be reported as non-convergent instead of a bogus plateau value
-    mat = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(NumericError):
-        power_iteration(mat, max_iter=500)
+def near_twin_components(n_half=100, seed=7):
+    # two copies of one random graph, the second's weights scaled by 1 + 1e-9:
+    # their largest Laplacian eigenvalues differ only in the tenth digit
+    adj = random_weighted(np.random.default_rng(seed), n_half, 0.1)
+    full = np.zeros((2 * n_half, 2 * n_half))
+    full[:n_half, :n_half] = adj
+    full[n_half:, n_half:] = adj * (1.0 + 1e-9)
+    return full
 
 
-def test_spectrum_bounds_known_matrix():
-    lam_lo, lam_hi = spectrum_bounds(np.diag([1.0, -4.0, 3.0]))
-    assert abs(lam_lo - (-4.0)) < 1e-7
-    assert abs(lam_hi - 3.0) < 1e-7
+def isolated_node(seed=8):
+    adj = random_weighted(np.random.default_rng(seed), 9, 0.5)
+    adj[4, :] = adj[:, 4] = 0.0
+    return adj
+
+
+@pytest.mark.parametrize("adj", [
+    *(random_weighted(np.random.default_rng(seed), n, density)
+      for seed, (n, density) in enumerate([(3, 1.0), (12, 0.3), (40, 0.1), (64, 0.5)])),
+    near_twin_components(),
+    isolated_node(),
+], ids=["n3", "n12", "n40", "n64", "near_twin_components", "isolated_node"])
+def test_scaled_laplacian_lambda_matches_numpy_oracle(adj):
+    graph = TrafficGraph(adj)
+    l_tilde, lam = scaled_laplacian(graph)
+    expected = np.linalg.eigvalsh(np.diag(adj.sum(axis=1)) - adj)[-1]
+    assert abs(lam - expected) <= 1e-12 * expected
+    assert np.allclose(l_tilde, (2.0 / expected) * graph.laplacian() - np.eye(len(adj)),
+                       rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- chebyshev
