@@ -28,7 +28,10 @@ Kernel rules, which keep the hot kernels off numpy's slow paths:
   a long one numpy's reduction (``_rowmax``).
 - ``masked_softmax`` multiplies by the keep mask, so ``exp`` never sees
   a masked entry as -inf; masked keys still get weight exactly 0.
-- A kernel updates its own temporaries in place.
+- A kernel updates its own temporaries in place. Temporaries that grow
+  with the input's rows are built a block of rows at a time: the im2col
+  patches of ``conv1d_time`` (forward and backward) and, without a tape,
+  the sigmoid half of ``tanh_sigmoid_gate``.
 
 ``relu`` and ``sigmoid`` pass NaN through.
 """
@@ -74,6 +77,11 @@ _ids = itertools.count()
 
 # Trailing axes up to this length reduce as column loops (see _rowmax).
 _SHORT_AXIS = 32
+# Elements per block of the kernels' blocked temporaries: im2col patches
+# (256 KiB) and the no-grad gate's sigmoid halves (64 KiB), each small
+# beside the (N, W, d) arrays of an N=207 pass.
+_IM2COL_BLOCK = 1 << 15
+_BLOCK = 1 << 13
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -205,9 +213,14 @@ def parameter(x) -> Tensor:
     return Tensor(np.array(x, dtype=np.float64), requires_grad=True)
 
 
+def _recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an op over ``parents`` goes on the tape."""
+    return _mode.enabled and any(p.requires_grad for p in parents)
+
+
 def _record(data: np.ndarray, parents: Sequence[Tensor], rule) -> Tensor:
     out = Tensor(data)
-    if _mode.enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._rule = rule
@@ -621,6 +634,14 @@ def tanh_sigmoid_gate(t: Tensor) -> Tensor:
         raise ShapeError(f"tanh_sigmoid_gate needs an even last axis, got shape {t.shape}")
     d = t.shape[-1] // 2
     filt = np.tanh(t.data[..., :d])
+    if not _recording((t,)):
+        # nothing keeps the gate for a backward: scale the filter in place,
+        # a block of rows at a time, so no second half-size array exists
+        rows, gates = filt.reshape(-1, d), t.data.reshape(-1, 2 * d)[:, d:]
+        step = max(1, _BLOCK // d)
+        for start in range(0, len(rows), step):
+            rows[start:start + step] *= _sigmoid(gates[start:start + step])
+        return _record(filt, (t,), None)
     gate = _sigmoid(t.data[..., d:])
 
     def rule(g):
@@ -772,12 +793,29 @@ def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, (t, gain, bias), rule)
 
 
-def conv1d_time(t: Tensor, kernel: Tensor, padding: str = "same") -> Tensor:
-    """1-D cross-correlation along the time axis (second to last).
+def _im2col(rows: np.ndarray, width: int, pad_left: int, out_steps: int) -> np.ndarray:
+    """The (b out_steps, K c_in) patch matrix of ``rows`` (b, T, c_in),
+    zero-padded by ``pad_left`` steps before and the rest after. Tap-major:
+    a patch holds its K input steps one after another, so the kernel is
+    the (K c_in, c_out) matrix as it is stored."""
+    b, steps, c_in = rows.shape
+    if out_steps + width - 1 > steps:
+        padded = np.zeros((b, out_steps + width - 1, c_in))
+        padded[:, pad_left:pad_left + steps] = rows
+        rows = padded
+    cols = sliding_window_view(rows, width, axis=1).transpose(0, 1, 3, 2)
+    return np.ascontiguousarray(cols).reshape(b * out_steps, width * c_in)
+
+
+def conv1d_time(t: Tensor, kernel: Tensor, padding: str = "same", bias: Tensor | None = None) -> Tensor:
+    """1-D cross-correlation along the time axis (second to last), plus an
+    optional per-channel ``bias`` (c_out,) added in place.
 
     ``t`` has shape (..., N, T, c_in), any leading dims folding into the
     rows, and ``kernel`` (K, c_in, c_out). "same" zero-pads so the output
-    keeps T steps; "valid" yields T - K + 1 steps.
+    keeps T steps; "valid" yields T - K + 1 steps. The im2col patches are
+    built and multiplied a block of rows at a time, in forward and again
+    in backward, so no patch matrix of the whole input is ever held.
     """
     t, kernel = as_tensor(t), as_tensor(kernel)
     if t.ndim < 3 or kernel.ndim != 3:
@@ -789,32 +827,41 @@ def conv1d_time(t: Tensor, kernel: Tensor, padding: str = "same") -> Tensor:
     steps, width = t.shape[-2], kernel.shape[0]
     if width > steps:
         raise ShapeError(f"kernel width {width} exceeds {steps} time steps")
-    lead, c_in = t.shape[:-2], t.shape[-1]
-    n = int(np.prod(lead, dtype=np.int64))
-    c_out = kernel.shape[2]
-    pad_left = (width - 1) // 2 if padding == "same" else 0
-    if padding == "same":
-        padded = np.zeros((n, steps + width - 1, c_in))
-        padded[:, pad_left:pad_left + steps, :] = t.data.reshape(n, steps, c_in)
-    else:
-        padded = t.data.reshape(n, steps, c_in)
-    out_steps = padded.shape[1] - width + 1
-    # im2col, tap-major: each row holds its K input steps one after another,
-    # so the kernel is the (K c_in, c_out) matrix as it is stored
-    cols = np.ascontiguousarray(sliding_window_view(padded, width, axis=1).transpose(0, 1, 3, 2))
-    cols = cols.reshape(n * out_steps, width * c_in)
+    c_in, c_out = t.shape[-1], kernel.shape[2]
+    parents = (t, kernel)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (c_out,):
+            raise ShapeError(f"conv1d_time bias must have shape ({c_out},), got {bias.shape}")
+        parents += (bias,)
+    rows = t.data.reshape(-1, steps, c_in)
+    n = rows.shape[0]
+    pad_left, out_steps = ((width - 1) // 2, steps) if padding == "same" else (0, steps - width + 1)
     kmat = kernel.data.reshape(width * c_in, c_out)
-    out = (cols @ kmat).reshape(lead + (out_steps, c_out))
+    block = max(1, _IM2COL_BLOCK // (out_steps * width * c_in))
+    blocks = [(start, min(n, start + block)) for start in range(0, n, block)]
+    out = np.empty((n, out_steps, c_out))
+    for start, stop in blocks:
+        np.matmul(_im2col(rows[start:stop], width, pad_left, out_steps), kmat,
+                  out=out[start:stop].reshape(-1, c_out))
+    if bias is not None:
+        out += bias.data
     in_shape = t.shape
 
     def rule(g):
-        gflat = g.reshape(n * out_steps, c_out)
-        dkernel = (cols.T @ gflat).reshape(kernel.shape)
-        # col2im: each tap's column gradient adds back onto the steps it read
-        dcols = (gflat @ kmat.T).reshape(n, out_steps, width, c_in)
-        dpadded = np.zeros(padded.shape)
-        for tap in range(width):
-            dpadded[:, tap:tap + out_steps, :] += dcols[:, :, tap, :]
-        return dpadded[:, pad_left:pad_left + steps, :].reshape(in_shape), dkernel
+        g = g.reshape(n, out_steps, c_out)
+        dkernel = np.zeros(kmat.shape)
+        dx = np.empty((n, steps, c_in))
+        for start, stop in blocks:
+            gb = g[start:stop].reshape(-1, c_out)
+            dkernel += _im2col(rows[start:stop], width, pad_left, out_steps).T @ gb
+            # col2im: each tap's column gradient adds back onto the steps it read
+            dcols = (gb @ kmat.T).reshape(stop - start, out_steps, width, c_in)
+            dpadded = np.zeros((stop - start, out_steps + width - 1, c_in))
+            for tap in range(width):
+                dpadded[:, tap:tap + out_steps] += dcols[:, :, tap]
+            dx[start:stop] = dpadded[:, pad_left:pad_left + steps]
+        grads = (dx.reshape(in_shape), dkernel.reshape(kernel.shape))
+        return grads + (_reduce_to(g, (c_out,)),) if bias is not None else grads
 
-    return _record(out, (t, kernel), rule)
+    return _record(out.reshape(in_shape[:-2] + (out_steps, c_out)), parents, rule)

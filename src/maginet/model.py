@@ -214,9 +214,10 @@ class ModelParams:
 # window.
 #
 # Under no_grad only a name keeps an intermediate alive, so the pieces
-# ``del`` large ones once used: the heap an N=207 pass grows, which glibc
-# returns after the pass and page-faults back in on the next, stays
-# smaller.
+# ``del`` large ones once used and compute per head what they can: the
+# heap an N=207 pass grows, which glibc returns after the pass and
+# page-faults back in on the next, stays small, and so does what each
+# thread of ``training.predict_windows`` holds.
 
 
 def _permute(t: Tensor, *core: int) -> Tensor:
@@ -274,14 +275,16 @@ def amst_encode(x: np.ndarray, m: np.ndarray, params: ModelParams, config: Model
 
 def temporal_attention(h: Tensor, m: np.ndarray, a_prev: Tensor | None, params: ModelParams,
                        config: ModelConfig, block: int,
-                       internals: dict | None = None) -> tuple[Tensor, Tensor]:
+                       internals: dict | None = None) -> tuple[Tensor, Tensor | None]:
     """Masked multi-head self-attention along time, per node.
 
     Scores (..., N, heads, W, W) accumulate across blocks through
     ``a_prev`` (None in the first block); keys at m = 0 get exactly zero
     weight (neg_inf mode). A query whose keys are all masked receives
     zero context, so the residual passes the input through. Each of q, k
-    and v is one batched product over all heads.
+    and v is one batched product over all heads. Returns the block's
+    output and its accumulated scores, or None for the scores in the
+    last block, where no later block reads them.
     """
     *lead, n, width, d = h.shape
     p = f"block{block}"
@@ -289,8 +292,6 @@ def temporal_attention(h: Tensor, m: np.ndarray, a_prev: Tensor | None, params: 
     a_new = _scores(h, params, f"{p}.attn", config)
     if a_prev is not None:
         a_new = a_new + a_prev
-    v = ad.matmul(ad.reshape(h, (*lead, n, 1, width, d)),
-                  _head_weights(params, f"{p}.attn", "v", heads))   # (..., N, heads, W, dh)
     key_mask = m[..., None, None, :]                      # (..., N, 1, 1, W)
     if "no_mastatt" in config.ablations:
         counts = m.sum(axis=-1)[..., None, None, None]
@@ -303,8 +304,13 @@ def temporal_attention(h: Tensor, m: np.ndarray, a_prev: Tensor | None, params: 
     if internals is not None:
         internals.setdefault("temporal_weights", []).append(weights.data.copy())
         internals.setdefault("temporal_scores", []).append(a_new.data.copy())
-    context = _permute(ad.matmul(weights, v), 0, 2, 1, 3)  # (..., N, W, heads, dh)
+    if block + 1 == config.blocks:
+        a_new = None
+    v = ad.matmul(ad.reshape(h, (*lead, n, 1, width, d)),
+                  _head_weights(params, f"{p}.attn", "v", heads))   # (..., N, heads, W, dh)
+    context = ad.matmul(weights, v)
     del weights, v
+    context = _permute(context, 0, 2, 1, 3)               # (..., N, W, heads, dh)
     mixed = ad.matmul(ad.reshape(context, (*lead, n, width, heads * dh)), params[f"{p}.attn.w_ctx"])
     del context
     mixed = mixed + params[f"{p}.attn.b_ctx"] + h
@@ -317,12 +323,11 @@ def spatial_attention(h_matt: Tensor, m: np.ndarray, params: ModelParams, config
 
     Collapse = same-padded conv along time, mean pool over the window,
     linear map to the node-embedding size, plus the spatial positions.
-    Returns one (..., N, N) tensor per head; each of q and k is one
-    batched product over all heads.
+    Returns one (..., N, N) tensor per head, computed one head at a time.
     """
     *lead, n, width, d = h_matt.shape
     p = f"block{block}"
-    heads = config.heads
+    heads, scale = config.heads, 1.0 / math.sqrt(config.dh)
     if "no_mastatt" in config.ablations:
         flat = ad.constant(np.full((*lead, n, n), 1.0 / n))
         s_heads = [flat for _ in range(heads)]
@@ -333,13 +338,15 @@ def spatial_attention(h_matt: Tensor, m: np.ndarray, params: ModelParams, config
         means = np.zeros((taps, width))
         for tap in range(taps):
             means[tap, max(0, tap - pad):min(width, width + tap - pad)] = 1.0 / width
-        z = ad.conv1d_time(ad.matmul(ad.constant(means), h_matt), params[f"{p}.collapse.kernel"], "valid")
-        z = ad.reshape(z, (*lead, n, d)) + params[f"{p}.collapse.bias"]
-        z = ad.matmul(z, params[f"{p}.collapse.w_proj"]) + params[f"{p}.collapse.b_proj"]
-        z = z + params["pos_space"]
-        s = ad.softmax_lastdim(_scores(z, params, f"{p}.spatial", config))   # (..., heads, N, N)
-        s_heads = [ad.reshape(ad.slice_axis(s, -3, head, head + 1), (*lead, n, n))
-                   for head in range(heads)]
+        z = ad.conv1d_time(ad.matmul(ad.constant(means), h_matt), params[f"{p}.collapse.kernel"],
+                           "valid", params[f"{p}.collapse.bias"])
+        z = ad.matmul(ad.reshape(z, (*lead, n, d)), params[f"{p}.collapse.w_proj"])
+        z = z + params[f"{p}.collapse.b_proj"] + params["pos_space"]
+        s_heads = []
+        for head in range(heads):
+            q = ad.matmul(z, params[f"{p}.spatial.q{head}"] * scale)
+            k = ad.matmul(z, params[f"{p}.spatial.k{head}"])
+            s_heads.append(ad.softmax_lastdim(ad.matmul(q, _permute(k, 1, 0))))   # (..., N, N)
     if internals is not None:
         internals.setdefault("spatial_weights", []).append(
             np.stack([head.data for head in s_heads], axis=-3))
@@ -352,7 +359,9 @@ def graph_conv(h: Tensor, s_heads: list[Tensor], basis: ChebyshevBasis, params: 
 
     Order k uses T_k(L~) elementwise-weighted by spatial-attention head
     (k mod heads), then its own d x d channel mixer. ``basis`` comes from
-    ``graph.chebyshev_basis``, whose T_0 is the identity.
+    ``graph.chebyshev_basis``, whose T_0 is the identity. Each entry of
+    ``s_heads`` is set to None after the last order that reads it, so a
+    gradient-free pass holds fewer N x N arrays as it goes.
     """
     if basis.order < 1:
         raise ContractError("graph convolution needs a Chebyshev basis of order >= 1")
@@ -362,15 +371,19 @@ def graph_conv(h: Tensor, s_heads: list[Tensor], basis: ChebyshevBasis, params: 
     out = None
     for k in range(basis.order):
         s = s_heads[k % config.heads]
+        if k + config.heads >= basis.order:
+            s_heads[k % config.heads] = None
         if k == 0:
             # (T_0 o S) h with T_0 = I scales the rows of h by diag(S)
             diag = ad.masked_select(s, np.broadcast_to(basis.matrices[0], s.shape))
             aggregated = ad.broadcast_to(ad.reshape(diag, (*lead, n, 1)), h_flat.shape) * h_flat
         else:
             aggregated = ad.matmul(ad.scale_by(s, basis.matrices[k]), h_flat)
-        mixed = ad.reshape(aggregated, (*lead, n, width, d))
-        term = ad.matmul(mixed, params[f"{p}.cheb.theta{k}"])
+        del s
+        term = ad.matmul(ad.reshape(aggregated, (*lead, n, width, d)), params[f"{p}.cheb.theta{k}"])
+        del aggregated
         out = term if out is None else out + term
+        del term
     return out
 
 
@@ -383,9 +396,10 @@ def gated_temporal_conv(e: Tensor, h: Tensor, params: ModelParams, config: Model
     its input through a second projected skip before layer norm.
     """
     p = f"block{block}"
-    if "no_gtconv" not in config.ablations:
-        cat = ad.concat([ad.tanh_sigmoid_gate(ad.conv1d_time(e, params[f"{p}.gate{i}.kernel"], "same")
-                                              + params[f"{p}.gate{i}.bias"])
+    gated = "no_gtconv" not in config.ablations
+    if gated:
+        cat = ad.concat([ad.tanh_sigmoid_gate(ad.conv1d_time(e, params[f"{p}.gate{i}.kernel"], "same",
+                                                             params[f"{p}.gate{i}.bias"]))
                          for i in range(len(config.kernel_sizes))], axis=-1)
         merged = ad.matmul(cat, params[f"{p}.merge_gates.w"])
         del cat
@@ -395,24 +409,11 @@ def gated_temporal_conv(e: Tensor, h: Tensor, params: ModelParams, config: Model
         e_out = e
     if internals is not None:
         internals.setdefault("conv_residual", []).append(e_out.data.copy())
-    skip = ad.relu(ad.concat([e_out, h], axis=-1))
+    # relu(concat([e_out, h])), rectifying only what is not a relu output yet
+    skip = ad.concat([e_out if gated else ad.relu(e_out), ad.relu(h)], axis=-1)
+    del e_out
     skip = ad.matmul(skip, params[f"{p}.merge_skip.w"]) + params[f"{p}.merge_skip.b"]
     return ad.layer_norm(skip, params[f"{p}.ln_out.gain"], params[f"{p}.ln_out.bias"])
-
-
-def _block(h: Tensor, m: np.ndarray, a_prev: Tensor | None, params: ModelParams,
-           config: ModelConfig, basis: ChebyshevBasis, block: int,
-           internals: dict | None) -> tuple[Tensor, Tensor]:
-    """One spatio-temporal block: its output and its accumulated scores.
-    What the block computes on the way dies when it returns."""
-    h_matt, a_new = temporal_attention(h, m, a_prev, params, config, block, internals)
-    s_heads = spatial_attention(h_matt, m, params, config, block, internals)
-    if "no_graphconv" in config.ablations:
-        e = h
-    else:
-        e = graph_conv(h, s_heads, basis, params, config, block)
-    del h_matt, s_heads   # before the gated convolutions' large temporaries
-    return gated_temporal_conv(e, h, params, config, block, internals), a_new
 
 
 def forward(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConfig,
@@ -443,11 +444,21 @@ def forward(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConf
     # encoder output); the accumulated temporal-attention scores chain
     # alongside. Within a block the graph convolution aggregates the
     # block input itself, not the attention context, whose job is to
-    # shape the aggregation weights.
-    a_prev = None
+    # shape the aggregation weights. Each intermediate is released as
+    # soon as the block is done with it.
+    scores = None
     total = None
     for b in range(config.blocks):
-        h, a_prev = _block(h, m, a_prev, params, config, basis, b, internals)
+        h_matt, scores = temporal_attention(h, m, scores, params, config, b, internals)
+        s_heads = spatial_attention(h_matt, m, params, config, b, internals)
+        del h_matt
+        if "no_graphconv" in config.ablations:
+            e = h
+        else:
+            e = graph_conv(h, s_heads, basis, params, config, b)
+        del s_heads
+        h = gated_temporal_conv(e, h, params, config, b, internals)
+        del e
         total = h if total is None else total + h
     hidden = ad.relu(ad.matmul(total, params["head.w1"]) + params["head.b1"])
     return ad.matmul(hidden, params["head.w2"]) + params["head.b2"]

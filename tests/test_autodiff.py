@@ -646,3 +646,60 @@ def test_grad_conv1d_widths(padding, width):
     w = ad.constant(RNG.standard_normal((2, steps, 3)))
     _assert_grads(lambda: (ad.conv1d_time(x, k, padding) * w).sum(), {"x": x, "k": k})
 
+
+
+# ---------------------------------------------------------------- blocked kernels
+#
+# conv1d_time builds its im2col patches a block of rows at a time, and the
+# gradient-free gate scales its filter a block of rows at a time; small
+# block sizes make these tiny inputs span several blocks, the last short.
+
+
+@pytest.mark.parametrize("width", [1, 3, 5])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+def test_conv1d_row_blocks_match_one_block(padding, width, monkeypatch):
+    x, k, b = RNG.standard_normal((7, 7, 2)), RNG.standard_normal((width, 2, 3)), RNG.standard_normal(3)
+    whole = ad.conv1d_time(ad.constant(x), ad.constant(k), padding, ad.constant(b)).data
+    monkeypatch.setattr(ad, "_IM2COL_BLOCK", 2 * 7 * width * 2)   # at most 2 rows per block
+    blocked = ad.conv1d_time(ad.constant(x), ad.constant(k), padding, ad.constant(b)).data
+    assert np.array_equal(blocked, whole)
+    assert np.array_equal(blocked, ad.conv1d_time(ad.constant(x), ad.constant(k), padding).data + b)
+    assert_close(blocked, ref_conv1d(x, k, padding) + b)
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+def test_grad_conv1d_row_blocks_with_bias(padding, monkeypatch):
+    monkeypatch.setattr(ad, "_IM2COL_BLOCK", 2 * 7 * 3 * 2)   # rows in blocks of 2, 2, 2, 1
+    x, k, b = rand_leaf(7, 7, 2), rand_leaf(3, 2, 3), rand_leaf(3)
+    steps = 7 if padding == "same" else 5
+    w = ad.constant(RNG.standard_normal((7, steps, 3)))
+    _assert_grads(lambda: (ad.conv1d_time(x, k, padding, b) * w).sum(), {"x": x, "k": k, "bias": b})
+
+
+def test_conv1d_bias_shape_checked():
+    x, k = ad.constant(np.zeros((2, 5, 2))), ad.constant(np.zeros((3, 2, 4)))
+    with pytest.raises(ShapeError):
+        ad.conv1d_time(x, k, "same", ad.constant(np.zeros(3)))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_tanh_sigmoid_gate_without_tape_gives_the_taped_bytes(d, monkeypatch):
+    monkeypatch.setattr(ad, "_BLOCK", 4 * d)   # 15 rows in blocks of 4, 4, 4, 3
+    c = RNG.normal(0.0, 3.0, (3, 5, 2 * d))
+    c[0, 0, :] = [800.0] * d + [-800.0] * d
+    x = ad.parameter(c)
+    taped = ad.tanh_sigmoid_gate(x)
+    with ad.no_grad(), np.errstate(over="raise"):
+        lean = ad.tanh_sigmoid_gate(x)
+    assert taped.requires_grad and not lean.requires_grad
+    assert lean.data.tobytes() == taped.data.tobytes()
+
+
+def test_grad_gate_over_blocked_conv_with_bias(monkeypatch):
+    # the gated branch as the model runs it, under grad
+    monkeypatch.setattr(ad, "_IM2COL_BLOCK", 2 * 6 * 3 * 2)
+    monkeypatch.setattr(ad, "_BLOCK", 4)
+    x, k, b = rand_leaf(5, 6, 2), rand_leaf(3, 2, 4), rand_leaf(4)
+    w = ad.constant(RNG.standard_normal((5, 6, 2)))
+    _assert_grads(lambda: (ad.tanh_sigmoid_gate(ad.conv1d_time(x, k, "same", b)) * w).sum(),
+                  {"x": x, "k": k, "bias": b})

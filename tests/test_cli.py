@@ -1,5 +1,7 @@
 import json
+import os
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -259,6 +261,52 @@ def test_impute_tail_steps_are_imputed_not_copied(tmp_path):
     assert not (filled[held_out] == values[held_out]).all(axis=-1).any()
     assert np.isfinite(filled[unobserved]).all()
     assert np.array_equal(filled[~unobserved], values[~unobserved])
+
+
+def test_impute_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
+    # 245 steps at W=12: 20 full windows, then the right-aligned window over
+    # the 5-step tail; chunks of 8, 8 and 5, the tail window last
+    series, adj = generate_tiny(tmp_path, nodes=6, steps=245)
+    out = tmp_path / "run"
+    assert run(["train", "--series", str(series), "--adj", str(adj), "--ratio", "0.5",
+                "--seed", "2", "--out", str(out)] + TRAIN_FAST) == 0
+    base = ["impute", "--series", str(series), "--adj", str(adj), "--mask", str(out / "mask.csv"),
+            "--checkpoint", str(out / "checkpoint.json")]
+    imputed = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
+                            raising=False)
+        assert run(base + ["--out", str(tmp_path / f"imp{cpus}")]) == 0
+        imputed[cpus] = (tmp_path / f"imp{cpus}" / "imputed.csv").read_bytes()
+    assert imputed[1] == imputed[4]
+
+
+def test_impute_nan_at_an_observed_entry_of_a_later_window_exits_2(tmp_path, monkeypatch, capsys):
+    # 480 steps at W=12: 40 windows in five chunks; the model's encoder
+    # rejects the NaN in whichever thread predicts that window
+    series, adj = generate_tiny(tmp_path, nodes=6, steps=480)
+    out = tmp_path / "run"
+    assert run(["train", "--series", str(series), "--adj", str(adj), "--ratio", "0.5",
+                "--seed", "2", "--out", str(out)] + TRAIN_FAST) == 0
+    real_make_windows = data.make_windows
+
+    def make_windows(*args):
+        windows = real_make_windows(*args)
+        if len(windows) > 1:   # the full windows, not the tail window
+            later = windows[30]
+            x = np.array(later.x)
+            node, step = np.argwhere(later.m == 1.0)[0]
+            x[node, step, 0] = np.nan
+            object.__setattr__(later, "x", x)   # past the check made when a window is built
+        return windows
+
+    monkeypatch.setattr(data, "make_windows", make_windows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    before = set(threading.enumerate())
+    assert run(["impute", "--series", str(series), "--adj", str(adj),
+                "--checkpoint", str(out / "checkpoint.json"), "--out", str(tmp_path / "imp")]) == 2
+    assert "input error: NaN at an observed position" in capsys.readouterr().err
+    assert set(threading.enumerate()) == before
 
 
 # ---------------------------------------------------------------- eval

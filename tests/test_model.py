@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from maginet import autodiff as ad
+from maginet import data
 from maginet import model as mm
 from maginet.data import IncompleteWindow
 from maginet.errors import ContractError, InputError
@@ -645,3 +647,69 @@ def test_spatial_attention_matches_conv_then_time_mean(taps):
         scores = scores / math.sqrt(cfg.dh)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         assert np.allclose(got.data, e / e.sum(axis=-1, keepdims=True), rtol=1e-12, atol=1e-14)
+
+
+def test_graph_conv_releases_each_head_after_its_last_order():
+    # order 2 reuses head 0, so head 0 goes after order 2 and head 1 after order 1
+    cfg = tiny_config(cheb_order=3, heads=2)
+    model = mm.MagiNet(cfg, ring(5), width=4, n_features=1, seed=2)
+    s_heads = [ad.constant(np.random.default_rng(head).random((5, 5))) for head in range(2)]
+    mm.graph_conv(ad.constant(RNG.standard_normal((5, 4, cfg.d))), s_heads, model.basis,
+                  model.params, cfg, 0)
+    assert s_heads == [None, None]
+
+
+# ---------------------------------------------------------------- lean gradient-free pass
+
+
+def test_taped_and_gradient_free_forwards_give_the_same_bytes(monkeypatch):
+    # blocks far smaller than the rows: every conv and gate runs in several
+    # blocks; the gradient-free gate takes its own in-place path
+    monkeypatch.setattr(ad, "_IM2COL_BLOCK", 64)
+    monkeypatch.setattr(ad, "_BLOCK", 8)
+    model = make_model(n=6, width=8, blocks=2, kernel_sizes=(3, 5))
+    w = random_window(n=6, width=8, seed=8)
+    taped_internals, free_internals = {}, {}
+    taped = model.forward(w.x, w.m, taped_internals)
+    assert taped.requires_grad
+    with ad.no_grad():
+        free = model.forward(w.x, w.m, free_internals)
+    assert free.data.tobytes() == taped.data.tobytes()
+    for key, arrays in taped_internals.items():
+        for got, want in zip(free_internals[key], arrays):
+            assert got.tobytes() == want.tobytes(), key
+    monkeypatch.undo()
+    with ad.no_grad():
+        assert model.forward(w.x, w.m).data.tobytes() == free.data.tobytes()
+
+
+def test_blocked_gradient_free_forward_masked_input_invariance(monkeypatch):
+    monkeypatch.setattr(ad, "_IM2COL_BLOCK", 64)
+    monkeypatch.setattr(ad, "_BLOCK", 8)
+    model = make_model(n=6, width=8, blocks=2, kernel_sizes=(3, 5))
+    w = random_window(n=6, width=8, seed=9)
+    with ad.no_grad():
+        base = model.forward(w.x, w.m).data
+    rng = np.random.default_rng(3)
+    for scale in (50.0,) * 5 + (1e6, 1e300):
+        noise = rng.uniform(-scale, scale, w.x.shape) * (w.m[:, :, None] == 0.0)
+        with ad.no_grad():
+            assert np.array_equal(model.forward(w.x + noise, w.m).data, base)
+
+
+def test_predict_at_metr_width_peaks_at_most_3_mib():
+    # one default-config window at METR-LA's 207 nodes; the pass peaked at
+    # 4.85 MiB before its intermediates were released as soon as used
+    graph = data.synthetic_graph(207, extra_edges=200, seed=1)
+    series = data.generate_synthetic(207, 36, graph, seed=3)
+    first, second = data.window(series, 12, 12, ratio=0.5, seed=3)[:2]
+    model = mm.MagiNet(mm.ModelConfig(), graph, width=12, n_features=1, seed=3,
+                       normalizer=data.Normalizer.fit([first]))
+    model.predict([first])   # warm-up: first-call allocations are not the pass's
+    tracemalloc.start()
+    try:
+        model.predict([second])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"

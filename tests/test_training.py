@@ -1,10 +1,32 @@
+import copy
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from maginet import autodiff as ad
 from maginet import data, training
-from maginet.errors import ContractError, EmptyMaskError, NumericError
+from maginet.errors import ContractError, EmptyMaskError, InputError, NumericError
 from maginet.model import MagiNet, ModelConfig
+
+
+def pin_cpus(monkeypatch, count):
+    """Make the process look allowed to run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def with_nan_at_an_observed_entry(window):
+    """A copy of ``window`` with a NaN at an observed entry, made past the
+    check that rejects one when a window is built."""
+    poisoned = copy.copy(window)
+    x = np.array(window.x)
+    node, step = np.argwhere(window.m == 1.0)[0]
+    x[node, step, 0] = np.nan
+    object.__setattr__(poisoned, "x", x)
+    return poisoned
 
 
 def tiny_setup(n=4, width=8, steps=64, seed=1, ratio=0.4):
@@ -271,7 +293,8 @@ def test_hiding_epoch1_loss_deterministic():
 
 
 @pytest.mark.parametrize("n, per_call", [(16, [8, 8, 4]), (207, [1] * 20)])
-def test_predict_windows_chunk_follows_node_count(n, per_call):
+def test_predict_windows_chunk_follows_node_count(n, per_call, monkeypatch):
+    pin_cpus(monkeypatch, 1)   # one thread, so the calls arrive in chunk order
     model, windows, _, _ = tiny_setup(n=n, width=6, steps=6 * 30)
     windows = windows[:20]
     model.normalizer = data.Normalizer.fit(windows)
@@ -293,3 +316,110 @@ def test_predict_windows_chunk_follows_node_count(n, per_call):
             out = real_forward(np.where(w.m[:, :, None] == 1.0, norm.transform(w.x), 0.0), w.m)
         for other in (alone, norm.inverse(out.data)):
             assert pred.shape == other.shape and pred.tobytes() == other.tobytes()
+
+
+@pytest.mark.parametrize("n, count, chunks", [(16, 20, 3), (182, 6, 6)])
+def test_predict_windows_same_bytes_for_any_worker_count(n, count, chunks, monkeypatch):
+    # 16 nodes: chunks of 8, 8 and a short 4; 182 nodes: one window per chunk
+    model, windows, _, _ = tiny_setup(n=n, width=6, steps=6 * 30)
+    windows = windows[:count]
+    model.normalizer = data.Normalizer.fit(windows)
+    real_predict = model.predict
+    runs = {}
+    for cpus in (1, 4):
+        pin_cpus(monkeypatch, cpus)
+        threads = set()
+
+        def spy(chunk):
+            threads.add(threading.get_ident())
+            return real_predict(chunk)
+
+        model.predict = spy
+        runs[cpus] = training.predict_windows(model, windows)
+        assert len(threads) <= min(cpus, chunks)
+    assert len(runs[1]) == len(runs[4]) == count
+    for one, many in zip(runs[1], runs[4]):
+        assert one.shape == many.shape and one.tobytes() == many.tobytes()
+
+
+def test_predict_windows_raises_a_helper_threads_error_unchanged(monkeypatch):
+    # the first chunk a helper thread takes ends in a window with a NaN at an
+    # observed entry, which the model's encoder rejects; the calling thread
+    # waits for that failure before it predicts its own chunk
+    pin_cpus(monkeypatch, 4)
+    model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 30)
+    windows = windows[:20]
+    model.normalizer = data.Normalizer.fit(windows)
+    real_predict = model.predict
+    failed = threading.Event()
+    failed_in = []
+
+    def predict(chunk):
+        if threading.current_thread() is threading.main_thread():
+            assert failed.wait(timeout=30)
+        elif not failed.is_set():
+            try:
+                return real_predict(chunk[:-1] + [with_nan_at_an_observed_entry(chunk[-1])])
+            except InputError:
+                failed_in.append(threading.current_thread())
+                failed.set()
+                raise
+        return real_predict(chunk)
+
+    model.predict = predict
+    before = set(threading.enumerate())
+    with pytest.raises(InputError, match="NaN at an observed position"):
+        training.predict_windows(model, windows)
+    assert failed_in and threading.main_thread() not in failed_in
+    assert set(threading.enumerate()) == before   # every helper was joined
+
+
+def test_predict_windows_raises_the_first_failing_chunks_error(monkeypatch):
+    # chunks of 8, 8 and 4 windows; the second and third fail, the third first
+    pin_cpus(monkeypatch, 4)
+    model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 30)
+    windows = windows[:20]
+    real_predict = model.predict
+    failures = {1: InputError("second chunk"), 2: InputError("third chunk")}
+
+    def predict(chunk):
+        index = next(i for i, w in enumerate(windows) if w is chunk[0]) // 8
+        if index == 1:
+            time.sleep(0.1)
+        if index in failures:
+            raise failures[index]
+        return real_predict(chunk)
+
+    model.predict = predict
+    with pytest.raises(InputError) as caught:
+        training.predict_windows(model, windows)
+    assert caught.value is failures[1]   # as one thread, taking the chunks in order, raises
+
+
+def test_predict_windows_stress_each_chunk_predicted_once(monkeypatch):
+    # more threads than cores and a very short switch interval: every chunk
+    # is taken by exactly one thread and its predictions land in its place
+    model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 100)
+    windows = windows[:66]   # chunks of 8, the last one of 2
+    model.normalizer = data.Normalizer.fit(windows)
+    pin_cpus(monkeypatch, 1)
+    alone = training.predict_windows(model, windows)
+    real_predict = model.predict
+    calls = []
+
+    def spy(chunk):
+        calls.append(chunk[0])
+        return real_predict(chunk)
+
+    model.predict = spy
+    pin_cpus(monkeypatch, 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            calls.clear()
+            preds = training.predict_windows(model, windows)
+            assert sorted(map(id, calls)) == sorted(id(w) for w in windows[::8])
+            assert [p.tobytes() for p in preds] == [p.tobytes() for p in alone]
+    finally:
+        sys.setswitchinterval(interval)
