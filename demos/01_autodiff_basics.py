@@ -11,11 +11,13 @@ from maginet.gradcheck import check_gradients
 # Leaves are plain float64 arrays wrapped in Tensor; requires_grad puts
 # them on the tape.
 x = ad.parameter(np.array([[1.0, -2.0], [0.5, 3.0]]))
-w = ad.parameter(np.array([[0.1, 0.4], [-0.3, 0.2]]))
+w = ad.parameter(np.array([[0.1, 0.4, -0.5, 0.3], [-0.3, 0.2, 0.6, -0.1]]))
 
 # Compose with operators and module functions. Everything records its
-# backward rule as it runs.
-hidden = ad.tanh(ad.matmul(x, w))
+# backward rule as it runs. The gate, as in the model's temporal
+# convolutions, is tanh of the first half of the columns times sigmoid
+# of the second half.
+hidden = ad.tanh_sigmoid_gate(ad.matmul(x, w))
 score = ad.softmax_lastdim(hidden)
 loss = (score * score).sum()
 print("loss:", loss.item())
@@ -32,7 +34,7 @@ x.zero_grad()
 w.zero_grad()
 target = ad.constant(np.array([[0.2, 0.8], [0.9, 0.1]]))
 errors = check_gradients(
-    lambda: (ad.softmax_lastdim(ad.tanh(ad.matmul(x, w))) * target).sum(),
+    lambda: (ad.softmax_lastdim(ad.tanh_sigmoid_gate(ad.matmul(x, w))) * target).sum(),
     {"x": x, "w": w})
 print("gradient check max relative errors:", errors)
 

@@ -19,9 +19,10 @@ the headroom.
 Kernel rules, which keep the hot kernels off numpy's slow paths:
 
 - No data-dependent select (``np.where`` and the like) runs over tensor
-  data. ``relu`` is ``np.maximum``, ``sigmoid`` is ``max(e, x >= 0) /
-  (1 + e)`` with ``e = exp(-|x|)``, and masks multiply; a select runs
-  only over a constant mask's own shape or over one value per row.
+  data. ``relu`` is ``np.maximum``, the sigmoid half of
+  ``tanh_sigmoid_gate`` is ``max(e, x >= 0) / (1 + e)`` with
+  ``e = exp(-|x|)``, and masks multiply; a select runs only over a
+  constant mask's own shape or over one value per row.
 - Every trailing-axis sum (softmax and layer norm, forward and backward)
   is one matrix-vector product with a ones vector (``_rowsum``). A short
   trailing-axis max is a loop of elementwise maxima over its columns,
@@ -33,7 +34,7 @@ Kernel rules, which keep the hot kernels off numpy's slow paths:
   patches of ``conv1d_time`` (forward and backward) and, without a tape,
   the sigmoid half of ``tanh_sigmoid_gate``.
 
-``relu`` and ``sigmoid`` pass NaN through.
+``relu`` and ``tanh_sigmoid_gate`` pass NaN through.
 """
 
 from __future__ import annotations
@@ -57,14 +58,10 @@ __all__ = [
     "matmul",
     "concat",
     "stack",
-    "slice_axis",
     "broadcast_to",
-    "masked_fill",
     "scale_by",
     "masked_select",
     "relu",
-    "tanh",
-    "sigmoid",
     "absolute",
     "softmax_lastdim",
     "masked_softmax",
@@ -467,24 +464,6 @@ def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _record(np.stack([t.data for t in tensors], axis=axis), tensors, rule)
 
 
-def slice_axis(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    t = as_tensor(t)
-    axis = axis % t.ndim
-    if not (0 <= start <= stop <= t.shape[axis]):
-        raise ShapeError(f"slice [{start}:{stop}] out of range for axis {axis} of shape {t.shape}")
-    index = [slice(None)] * t.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-    in_shape = t.shape
-
-    def rule(g):
-        out = np.zeros(in_shape)
-        out[index] = g
-        return (out,)
-
-    return _record(np.ascontiguousarray(t.data[index]), (t,), rule)
-
-
 def broadcast_to(t: Tensor, shape) -> Tensor:
     """Explicit numpy-style broadcast; the gradient sums over expanded axes."""
     t = as_tensor(t)
@@ -521,27 +500,6 @@ def _keep_mask(keep, shape: tuple[int, ...]) -> np.ndarray:
     if not fits:
         raise ShapeError(f"mask of shape {keep.shape} does not broadcast onto {shape}")
     return keep
-
-
-def masked_fill(t: Tensor, keep, value: float) -> Tensor:
-    """Keep entries where ``keep`` is nonzero, set the rest to ``value``.
-
-    ``keep`` is a constant 0/1 array broadcastable to ``t``; gradients
-    flow only through kept entries. The fill is ``t * keep`` plus a fill
-    array built over the mask's own shape, so ``t`` must be finite where
-    it is masked (an infinite or NaN entry times 0 is NaN).
-    """
-    t = as_tensor(t)
-    keep = _keep_mask(keep, t.shape)
-    fill = np.where(keep, 0.0, value)   # over the mask's shape only: 0 where kept
-    keep = keep.astype(np.float64)
-
-    def rule(g):
-        return (g * keep,)
-
-    out = t.data * keep
-    out += fill
-    return _record(out, (t,), rule)
 
 
 def scale_by(t: Tensor, factor) -> Tensor:
@@ -594,16 +552,6 @@ def relu(t: Tensor) -> Tensor:
     return _record(np.maximum(d, 0.0), (t,), rule)
 
 
-def tanh(t: Tensor) -> Tensor:
-    t = as_tensor(t)
-    y = np.tanh(t.data)
-
-    def rule(g):
-        return (g * (1.0 - y * y),)
-
-    return _record(y, (t,), rule)
-
-
 def _sigmoid(d: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-d)) for d >= 0 and exp(d) / (1 + exp(d)) below, as
     max(e, d >= 0) / (1 + e) with e = exp(-|d|): no select, and exp never
@@ -615,16 +563,6 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
     e += 1.0
     y /= e
     return y
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    t = as_tensor(t)
-    y = _sigmoid(t.data)
-
-    def rule(g):
-        return (g * y * (1.0 - y),)
-
-    return _record(y, (t,), rule)
 
 
 def tanh_sigmoid_gate(t: Tensor) -> Tensor:
@@ -746,7 +684,7 @@ def softmax_lastdim(t: Tensor) -> Tensor:
 
 
 def masked_softmax(t: Tensor, keep) -> Tensor:
-    """``softmax_lastdim(masked_fill(t, keep, -inf))`` without the -inf.
+    """``softmax_lastdim`` of ``t`` with -inf where ``keep`` is 0, without the -inf.
 
     ``keep`` is a constant 0/1 array broadcastable to ``t``. Masked entries
     get weight exactly 0 and a row with no kept entry maps to zeros, for

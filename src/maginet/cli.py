@@ -3,9 +3,10 @@
 Configuration comes from an optional JSON file (--config) with flag
 overrides on top; flags always win. Every command is deterministic given
 its flags, and every output file starts with a comment line naming the
-run by content: the tool version, the subcommand, the non-path flags, a
-sha256 of each input file, and the seed. No path is recorded, so the
-same inputs and flags give the same bytes in any directory.
+run by content: the tool version, the subcommand, the non-path flags
+other than ``sweep --jobs`` (a worker count changes no value), a sha256
+of each input file, and the seed. No path is recorded, so the same
+inputs and flags give the same bytes in any directory.
 
 Exit codes: 0 success, 1 usage, 2 input error, 3 numeric failure.
 """
@@ -17,7 +18,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
@@ -161,8 +161,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 _INPUT_FILES = ("series", "adj", "mask", "checkpoint", "config")
-# paths, the subcommand, and the seed (recorded last, as the effective value)
-_NOT_FLAGS = set(_INPUT_FILES) | {"out", "traces", "command", "func", "seed"}
+# paths, the subcommand, the seed (recorded last, as the effective value), the worker count
+_NOT_FLAGS = set(_INPUT_FILES) | {"out", "traces", "command", "func", "seed", "jobs"}
 
 
 def _sha256(path: Path) -> str:
@@ -388,30 +388,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_cell_job(payload):
-    series, graph, ratio, method, seed, kwargs = payload
-    return evaluation.run_sweep_cell(series, graph, ratio, method, seed, **kwargs)
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     series, graph = _load_series_graph(args, cfg)
-    ratios = list(args.ratios)
-    methods = _csv_names(args.methods)
-    kwargs = dict(width=cfg.width, stride=cfg.effective_stride, fractions=cfg.fractions,
-                  model_config=cfg.model_config(), train_config=cfg.train_config(),
-                  knn_k=cfg.knn_k, dataset=_dataset_tag(args))
-    for ratio in ratios:
+    for ratio in args.ratios:
         if not 0.0 < ratio < 1.0:
             raise UsageError(f"--ratios entries must lie in (0, 1), got {ratio}")
-    cells = [(series, graph, ratio, method, cfg.seed, kwargs)
-             for ratio in ratios for method in methods]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_cell_job, cells))
-    else:
-        rows = [_sweep_cell_job(cell) for cell in cells]
-    report = evaluation.EvalReport(rows=rows)
+    report = evaluation.sensitivity_sweep(
+        series, graph, list(args.ratios), _csv_names(args.methods), cfg.seed, jobs=args.jobs,
+        width=cfg.width, stride=cfg.effective_stride, fractions=cfg.fractions,
+        model_config=cfg.model_config(), train_config=cfg.train_config(), knn_k=cfg.knn_k,
+        dataset=_dataset_tag(args))
     out = _out_dir(args)
     note = _provenance(args, cfg.seed)
     report.to_csv(out / "sweep_report.csv", comment=note)

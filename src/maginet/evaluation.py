@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -263,16 +264,23 @@ def run_sweep_cell(series: SeriesMatrix, graph: TrafficGraph, ratio: float, meth
 
 
 def sensitivity_sweep(series: SeriesMatrix, graph: TrafficGraph, ratios: list[float],
-                      methods: list[str], seed: int, **cell_kwargs) -> EvalReport:
-    """Missing-ratio sweep: one report row per (ratio, method)."""
+                      methods: list[str], seed: int, jobs: int = 1, **cell_kwargs) -> EvalReport:
+    """Missing-ratio sweep: one report row per (ratio, method), ratio-major.
+
+    With ``jobs`` > 1 the cells run in that many worker processes; each
+    cell draws from its own seed, so the rows are the same either way.
+    """
     for ratio in ratios:
         if not 0.0 < ratio < 1.0:
             raise ContractError(f"sweep ratios must lie in (0, 1), got {ratio}")
-    report = EvalReport()
-    for ratio in ratios:
-        for method in methods:
-            report.rows.append(run_sweep_cell(series, graph, ratio, method, seed, **cell_kwargs))
-    return report
+    cell = partial(run_sweep_cell, series, graph, seed=seed, **cell_kwargs)
+    cell_ratios = [ratio for ratio in ratios for _ in methods]
+    cell_methods = list(methods) * len(ratios)
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor   # deferred: only a pool needs it
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return EvalReport(rows=list(pool.map(cell, cell_ratios, cell_methods)))
+    return EvalReport(rows=list(map(cell, cell_ratios, cell_methods)))
 
 
 def sweep_pivot(report: EvalReport) -> list[list]:

@@ -209,9 +209,8 @@ class ModelParams:
 #
 # Every piece takes an optional leading batch axis: features (N, W, ...)
 # for one window or (B, N, W, ...) for a stack of windows, the mask
-# shaped like the features without their last axis. The statistics the
-# ablations use (prefill means, uniform-attention key counts) stay per
-# window.
+# shaped like the features without their last axis. The prefill means
+# the ablations use stay per window.
 #
 # Under no_grad only a name keeps an intermediate alive, so the pieces
 # ``del`` large ones once used and compute per head what they can: the
@@ -293,11 +292,7 @@ def temporal_attention(h: Tensor, m: np.ndarray, a_prev: Tensor | None, params: 
     if a_prev is not None:
         a_new = a_new + a_prev
     key_mask = m[..., None, None, :]                      # (..., N, 1, 1, W)
-    if "no_mastatt" in config.ablations:
-        counts = m.sum(axis=-1)[..., None, None, None]
-        uniform = np.where(counts > 0, key_mask / np.where(counts > 0, counts, 1.0), 0.0)
-        weights = ad.constant(np.broadcast_to(uniform, a_new.shape).copy())
-    elif config.mask_mode == "neg_inf":
+    if config.mask_mode == "neg_inf":
         weights = ad.masked_softmax(a_new, key_mask)
     else:
         weights = ad.softmax_lastdim(ad.scale_by(a_new, key_mask))
@@ -323,7 +318,8 @@ def spatial_attention(h_matt: Tensor, m: np.ndarray, params: ModelParams, config
 
     Collapse = same-padded conv along time, mean pool over the window,
     linear map to the node-embedding size, plus the spatial positions.
-    Returns one (..., N, N) tensor per head, computed one head at a time.
+    Returns one (..., N, N) tensor per head, computed one head at a time;
+    under no_mastatt every head is 1/N throughout.
     """
     *lead, n, width, d = h_matt.shape
     p = f"block{block}"
@@ -440,16 +436,19 @@ def forward(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConf
     h = amst_encode(x, m, params, config)
     if "no_mastdec" in config.ablations:
         return ad.matmul(h, params["linear_head.w"]) + params["linear_head.b"]
-    # Each block consumes the previous block's output (block 1 sees the
+    # Each block consumes the previous block's output (block 0 sees the
     # encoder output); the accumulated temporal-attention scores chain
     # alongside. Within a block the graph convolution aggregates the
     # block input itself, not the attention context, whose job is to
     # shape the aggregation weights. Each intermediate is released as
-    # soon as the block is done with it.
+    # soon as the block is done with it. Under no_mastatt the spatial
+    # weights are flat, so no temporal attention runs.
     scores = None
     total = None
     for b in range(config.blocks):
-        h_matt, scores = temporal_attention(h, m, scores, params, config, b, internals)
+        h_matt = h
+        if "no_mastatt" not in config.ablations:
+            h_matt, scores = temporal_attention(h, m, scores, params, config, b, internals)
         s_heads = spatial_attention(h_matt, m, params, config, b, internals)
         del h_matt
         if "no_graphconv" in config.ablations:

@@ -96,8 +96,7 @@ def test_criterion_1_gradient_suite():
         xm = leaf(2, 6)
         keep = np.array([[1, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 0]])
         wm = ad.constant(rng.standard_normal((2, 6)))
-        check(lambda: (ad.softmax_lastdim(ad.masked_fill(xm, keep, -np.inf)) * wm).sum(),
-              {"xm": xm})
+        check(lambda: (ad.masked_softmax(xm, keep) * wm).sum(), {"xm": xm})
         xl, gl, bl = leaf(4, 6), leaf(6), leaf(6)
         wl = ad.constant(rng.standard_normal((4, 6)))
         check(lambda: (ad.layer_norm(xl, gl, bl) * wl).sum(), {"x": xl, "g": gl, "b": bl})
@@ -107,20 +106,20 @@ def test_criterion_1_gradient_suite():
         check(lambda: (ad.conv1d_time(xc, kc, "same") * ws).sum(), {"x": xc, "k": kc})
         check(lambda: (ad.conv1d_time(xc, kc, "valid") * wv).sum(), {"x": xc, "k": kc})
         xa = leaf(3, 4)
-        check(lambda: (ad.tanh(xa) + ad.sigmoid(xa) * 0.5 + ad.relu(xa + 0.3)
-                       + ad.absolute(xa + 1.9)).mean(axis=1).sum(), {"x": xa})
+        check(lambda: (ad.relu(xa + 0.3) + ad.absolute(xa + 1.9)).mean(axis=1).sum(), {"x": xa})
         xr, yr = leaf(2, 6), leaf(2, 6)
         wr = ad.constant(rng.standard_normal((4, 2, 3)))
-        check(lambda: (ad.slice_axis(
-            ad.stack([ad.concat([xr.reshape((2, 2, 3)), yr.reshape((2, 2, 3))], 1),
-                      ad.concat([yr.reshape((2, 2, 3)), xr.reshape((2, 2, 3))], 1)],
-                     0).sum(axis=0).transpose((1, 0, 2)), 0, 0, 4) * wr).sum(),
-            {"x": xr, "y": yr})
+        check(lambda: (ad.stack([ad.concat([xr.reshape((2, 2, 3)), yr.reshape((2, 2, 3))], 1),
+                                 ad.concat([yr.reshape((2, 2, 3)), xr.reshape((2, 2, 3))], 1)],
+                                0).sum(axis=0).transpose((1, 0, 2)) * wr).sum(),
+              {"x": xr, "y": yr})
         xk = leaf(3, 4)
         keep2 = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]])
-        check(lambda: ad.masked_select(
-            ad.scale_by(ad.masked_fill(xk, keep2, 0.25), np.array([2.0, 1.0, 0.5, 1.5])),
-            keep2).sum() + ad.broadcast_to(xk.mean(axis=0), (5, 4)).sum(), {"x": xk})
+        check(lambda: ad.masked_select(ad.scale_by(xk, np.array([2.0, 1.0, 0.5, 1.5])), keep2).sum()
+              + ad.broadcast_to(xk.mean(axis=0), (5, 4)).sum(), {"x": xk})
+        xg = leaf(3, 4, 2 * 2)
+        wg = ad.constant(rng.standard_normal((3, 4, 2)))
+        check(lambda: (ad.tanh_sigmoid_gate(xg) * wg).sum(), {"x": xg})
 
         # the full model loss at the pinned tiny instance
         model, w = tiny_model_setup()

@@ -446,6 +446,25 @@ def test_sweep_deterministic_reports(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_sweep_same_bytes_for_any_job_count(tmp_path):
+    # the worker count changes no value, so the provenance line leaves it out
+    series, adj = generate_tiny(tmp_path, steps=240)
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run(["sweep", "--series", str(series), "--adj", str(adj),
+                    "--ratios", "0.3,0.6", "--methods", "mean,knn,maginet", "--seed", "9",
+                    "--config", str(_fast_config(tmp_path)), "--jobs", jobs,
+                    "--out", str(out)]) == 0
+        outs.append(out)
+    assert (outs[0] / "sweep_rmse.csv").read_bytes() == (outs[1] / "sweep_rmse.csv").read_bytes()
+    reports = [(out / "sweep_report.csv").read_text().splitlines() for out in outs]
+    assert reports[0][0] == reports[1][0] and "jobs" not in reports[0][0]
+    assert len(reports[0]) == 2 + 6
+    assert [line.rsplit(",", 1)[0] for line in reports[0]] == \
+        [line.rsplit(",", 1)[0] for line in reports[1]]   # all but runtime_s
+
+
 def test_sweep_with_empty_test_split_names_it(tmp_path, capsys):
     # 96 steps at W=12: 8 windows, floor(0.1 x 8) = 0 of them in the test split
     series, adj = generate_tiny(tmp_path, steps=96)

@@ -417,17 +417,18 @@ def test_no_mastdec_is_linear_head_on_encoding():
     assert np.allclose(out, expected, atol=1e-14)
 
 
-def test_no_mastatt_uses_uniform_weights():
-    model = make_model(ablations=frozenset({"no_mastatt"}))
+def test_no_mastatt_uses_uniform_weights(monkeypatch):
+    # flat spatial weights read nothing of temporal attention, so none runs
+    calls = []
+    monkeypatch.setattr(mm, "temporal_attention", lambda *args: calls.append(args))
+    model = make_model(blocks=2, ablations=frozenset({"no_mastatt"}))
     w = random_window(seed=14)
     internals = attention_weights(model, w)
-    weights = internals["temporal_weights"][0]
-    counts = w.m.sum(axis=1)
-    for node in range(w.n_nodes):
-        expected = w.m[node] / counts[node]
-        assert np.allclose(weights[node], np.broadcast_to(expected, weights[node].shape))
-    spatial = internals["spatial_weights"][0]
-    assert np.allclose(spatial, 1.0 / w.n_nodes)
+    assert calls == []
+    assert not [key for key in internals if key.startswith("temporal_")]
+    assert len(internals["spatial_weights"]) == 2
+    for spatial in internals["spatial_weights"]:
+        assert np.array_equal(spatial, np.full((2, w.n_nodes, w.n_nodes), 1.0 / w.n_nodes))
 
 
 def test_full_model_gradients_sample():
@@ -524,7 +525,7 @@ def test_batched_forward_matches_per_window(over):
         [model.forward(w.x, w.m, seen) for w, seen in zip(ws, per_window)], axis=0))
     assert batched.shape == (3, 5, 8, 1)
     assert np.allclose(batched, single, rtol=0.0, atol=1e-10)
-    # internals too: with no_mastatt the temporal weights never reach the output
+    # internals too
     for key, entries in internals.items():
         for i, entry in enumerate(entries):
             expected = np.stack([seen[key][i] for seen in per_window])
