@@ -211,6 +211,13 @@ def _csv_names(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
+def _listed(values, flag: str):
+    """``values``, unless the comma-separated list given to ``flag`` named none."""
+    if not values:
+        raise UsageError(f"{flag} lists no entries")
+    return values
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
@@ -232,7 +239,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_series_graph(args, cfg: RunConfig):
+def _load_series_graph(args):
     series = data.load_series_csv(_require(args.series, "series"))
     graph = load_adjacency(_require(args.adj, "adj"), series.n_nodes)
     return series, graph
@@ -299,7 +306,7 @@ def cmd_mask(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    series, graph = _load_series_graph(args, cfg)
+    series, graph = _load_series_graph(args)
     note = _provenance(args, cfg.seed)
     mask = _load_or_make_mask(args, cfg, series, out, note)
     windows = data.make_windows(series, mask, cfg.width, cfg.effective_stride)
@@ -324,7 +331,7 @@ def cmd_train(args) -> int:
 
 def cmd_impute(args) -> int:
     cfg = _load_config(args)
-    series, graph = _load_series_graph(args, cfg)
+    series, graph = _load_series_graph(args)
     model = load_checkpoint(_require(args.checkpoint, "checkpoint"), graph)
     mask = _load_or_make_mask(args, cfg, series, None) if args.mask else np.zeros(
         (series.n_nodes, series.n_steps), dtype=np.int8)
@@ -350,14 +357,14 @@ def cmd_impute(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    methods = _listed(_csv_names(args.methods), "--methods")
     cfg = _load_config(args)
-    series, graph = _load_series_graph(args, cfg)
+    series, graph = _load_series_graph(args)
     mask = _load_or_make_mask(args, cfg, series, None)
     windows = data.make_windows(series, mask, cfg.width, cfg.effective_stride)
     chosen = windows if args.split == "all" else data.split(windows, cfg.fractions)[2]
     if not chosen:
         raise InputError("no windows in the selected split")
-    methods = _csv_names(args.methods)
     tag = _dataset_tag(args)
     report = evaluation.EvalReport()
     out = _out_dir(args)
@@ -389,13 +396,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    series, graph = _load_series_graph(args, cfg)
-    for ratio in args.ratios:
+    methods = _listed(_csv_names(args.methods), "--methods")
+    for ratio in _listed(args.ratios, "--ratios"):
         if not 0.0 < ratio < 1.0:
             raise UsageError(f"--ratios entries must lie in (0, 1), got {ratio}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    cfg = _load_config(args)
+    series, graph = _load_series_graph(args)
     report = evaluation.sensitivity_sweep(
-        series, graph, list(args.ratios), _csv_names(args.methods), cfg.seed, jobs=args.jobs,
+        series, graph, list(args.ratios), methods, cfg.seed, jobs=args.jobs,
         width=cfg.width, stride=cfg.effective_stride, fractions=cfg.fractions,
         model_config=cfg.model_config(), train_config=cfg.train_config(), knn_k=cfg.knn_k,
         dataset=_dataset_tag(args))
@@ -410,7 +420,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
-    series, graph = _load_series_graph(args, cfg)
+    series, graph = _load_series_graph(args)
     variants = _csv_names(args.variants) if args.variants else []
     report = evaluation.ablation_run(series, graph, variants, cfg.seed, ratio=cfg.ratio,
                                      width=cfg.width, stride=cfg.effective_stride,

@@ -216,7 +216,8 @@ class ModelParams:
 # ``del`` large ones once used and compute per head what they can: the
 # heap an N=207 pass grows, which glibc returns after the pass and
 # page-faults back in on the next, stays small, and so does what each
-# thread of ``training.predict_windows`` holds.
+# thread of ``training.predict_windows`` holds: one pass, on one thread
+# per usable CPU at 91 nodes and up, on one thread below.
 
 
 def _permute(t: Tensor, *core: int) -> Tensor:
@@ -312,8 +313,8 @@ def temporal_attention(h: Tensor, m: np.ndarray, a_prev: Tensor | None, params: 
     return ad.layer_norm(mixed, params[f"{p}.attn.ln.gain"], params[f"{p}.attn.ln.bias"]), a_new
 
 
-def spatial_attention(h_matt: Tensor, m: np.ndarray, params: ModelParams, config: ModelConfig,
-                      block: int, internals: dict | None = None) -> list[Tensor]:
+def spatial_attention(h_matt: Tensor, params: ModelParams, config: ModelConfig, block: int,
+                      internals: dict | None = None) -> list[Tensor]:
     """Node-level attention from a temporally collapsed summary.
 
     Collapse = same-padded conv along time, mean pool over the window,
@@ -449,7 +450,7 @@ def forward(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConf
         h_matt = h
         if "no_mastatt" not in config.ablations:
             h_matt, scores = temporal_attention(h, m, scores, params, config, b, internals)
-        s_heads = spatial_attention(h_matt, m, params, config, b, internals)
+        s_heads = spatial_attention(h_matt, params, config, b, internals)
         del h_matt
         if "no_graphconv" in config.ablations:
             e = h

@@ -10,7 +10,6 @@ matter how windows are grouped.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,9 @@ ADAM_EPS = 1e-8
 # Predicting, a forward pass takes at most EVAL_CHUNK windows and at most
 # EVAL_PAIR_BUDGET node pairs (windows x N^2): at 207 nodes a second window
 # doubles a pass's traced peak (2.88 -> 5.69 MB, default config) and saves
-# under 1% of its CPU time; each prediction thread holds one pass.
+# under 1% of its CPU time; each prediction thread holds one pass. Passes
+# the pair budget limits (91 nodes and up) run one thread per usable CPU;
+# passes of EVAL_CHUNK windows hold the GIL and run on one thread.
 EVAL_CHUNK = 8
 EVAL_PAIR_BUDGET = 65536
 
@@ -134,44 +135,23 @@ def predict_windows(model: MagiNet, windows: list[IncompleteWindow]) -> list[np.
     takes ``EVAL_CHUNK`` windows, fewer past ``EVAL_PAIR_BUDGET`` node pairs
     (8 at 16 nodes, 1 at 207); no window's prediction depends on the others.
 
-    The chunks run on one thread per usable CPU, at most one per chunk, the
-    calling thread among them: numpy releases the GIL for most of a pass at
-    METR-LA width.
+    The chunks run on a thread pool. When the pair budget sets the chunk
+    (91 nodes and up), the pool has one thread per usable CPU, at most one
+    per chunk: numpy releases the GIL for most of such a pass. Smaller
+    passes hold the GIL, and run on one thread.
     Predictions are gathered in chunk order, so they are the same bytes for
-    any thread count. If chunks fail, every thread stops taking new ones and
-    is joined, and the first failing chunk's exception is raised: the one a
-    single thread would have raised.
+    any thread count. Threads keep predicting until the caller reaches the
+    first failing chunk in order; its exception is raised, the one a single
+    thread would raise, the chunks not yet started are cancelled, and every
+    thread is joined.
     """
-    chunk = max(1, min(EVAL_CHUNK, EVAL_PAIR_BUDGET // model.graph.n_nodes ** 2))
+    per_pass = EVAL_PAIR_BUDGET // model.graph.n_nodes ** 2
+    chunk = max(1, min(EVAL_CHUNK, per_pass))
     chunks = [windows[start:start + chunk] for start in range(0, len(windows), chunk)]
-    preds: list = [None] * len(chunks)
-    errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    order = iter(range(len(chunks)))
-
-    def work() -> None:
-        while True:
-            with lock:
-                index = None if errors else next(order, None)
-            if index is None:
-                return
-            try:
-                preds[index] = model.predict(chunks[index])
-            except BaseException as err:   # raised again by the calling thread
-                with lock:
-                    errors[index] = err
-
-    helpers = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), len(chunks)) - 1)]
-    for thread in helpers:
-        thread.start()
-    try:
-        work()
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return [pred for chunk_preds in preds for pred in chunk_preds]
+    workers = min(_usable_cpus(), len(chunks)) if per_pass < EVAL_CHUNK else 1
+    from concurrent.futures import ThreadPoolExecutor   # deferred: only a prediction needs it
+    with ThreadPoolExecutor(max(1, workers)) as pool:
+        return [pred for chunk_preds in pool.map(model.predict, chunks) for pred in chunk_preds]
 
 
 def evaluate_model(model: MagiNet, windows: list[IncompleteWindow]) -> tuple[float, float]:

@@ -2,15 +2,16 @@ import json
 import os
 import pickle
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from maginet import cli, data, evaluation
+from maginet import cli, data, evaluation, training
 from maginet.errors import InputError
 from maginet.evaluation import rmse as rmse_metric
 from maginet.graph import TrafficGraph, load_adjacency
-from maginet.model import load_checkpoint
+from maginet.model import MagiNet, load_checkpoint
 from maginet.training import evaluate_model
 
 
@@ -265,25 +266,38 @@ def test_impute_tail_steps_are_imputed_not_copied(tmp_path):
 
 def test_impute_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
     # 245 steps at W=12: 20 full windows, then the right-aligned window over
-    # the 5-step tail; chunks of 8, 8 and 5, the tail window last
+    # the 5-step tail; under a pair budget shrunk to 3 windows of 6 nodes,
+    # seven chunks of 3 on a thread per CPU, the tail window last
     series, adj = generate_tiny(tmp_path, nodes=6, steps=245)
     out = tmp_path / "run"
     assert run(["train", "--series", str(series), "--adj", str(adj), "--ratio", "0.5",
                 "--seed", "2", "--out", str(out)] + TRAIN_FAST) == 0
     base = ["impute", "--series", str(series), "--adj", str(adj), "--mask", str(out / "mask.csv"),
             "--checkpoint", str(out / "checkpoint.json")]
+    monkeypatch.setattr(training, "EVAL_PAIR_BUDGET", 3 * 6 * 6)
+    real_predict = MagiNet.predict
     imputed = {}
     for cpus in (1, 4):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
                             raising=False)
+        threads = set()
+
+        def predict(model, windows):
+            threads.add(threading.get_ident())
+            time.sleep(0.01)   # long enough for any idle thread to take the next chunk
+            return real_predict(model, windows)
+
+        monkeypatch.setattr(MagiNet, "predict", predict)
         assert run(base + ["--out", str(tmp_path / f"imp{cpus}")]) == 0
         imputed[cpus] = (tmp_path / f"imp{cpus}" / "imputed.csv").read_bytes()
+        assert len(threads) == min(cpus, 7)
     assert imputed[1] == imputed[4]
 
 
 def test_impute_nan_at_an_observed_entry_of_a_later_window_exits_2(tmp_path, monkeypatch, capsys):
-    # 480 steps at W=12: 40 windows in five chunks; the model's encoder
-    # rejects the NaN in whichever thread predicts that window
+    # 480 steps at W=12: 40 windows in ten chunks of 4 under a shrunk pair
+    # budget; the model's encoder rejects the NaN in whichever pool thread
+    # predicts that window
     series, adj = generate_tiny(tmp_path, nodes=6, steps=480)
     out = tmp_path / "run"
     assert run(["train", "--series", str(series), "--adj", str(adj), "--ratio", "0.5",
@@ -301,6 +315,7 @@ def test_impute_nan_at_an_observed_entry_of_a_later_window_exits_2(tmp_path, mon
         return windows
 
     monkeypatch.setattr(data, "make_windows", make_windows)
+    monkeypatch.setattr(training, "EVAL_PAIR_BUDGET", 4 * 6 * 6)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     before = set(threading.enumerate())
     assert run(["impute", "--series", str(series), "--adj", str(adj),
@@ -493,6 +508,30 @@ def test_ablate_with_empty_test_split_names_it_before_training(tmp_path, capsys,
                 "--out", str(tmp_path / "abl"), "--config", str(_fast_config(tmp_path))]) == 2
     assert "no windows in the test split" in capsys.readouterr().err
     assert trained == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--methods"), ("sweep", "--methods"), ("sweep", "--ratios"),
+], ids=["eval-methods", "sweep-methods", "sweep-ratios"])
+def test_empty_list_is_usage_error_before_any_file_is_written(tmp_path, capsys, command, flag):
+    series, adj = generate_tiny(tmp_path, steps=240)
+    out = tmp_path / "o"
+    argv = [command, "--series", str(series), "--adj", str(adj), "--out", str(out)]
+    if command == "sweep" and flag != "--ratios":
+        argv += ["--ratios", "0.5"]
+    assert run(argv + [flag, ","]) == 1
+    assert f"usage error: {flag} lists no entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_usage_error_before_any_file_is_written(tmp_path, capsys, jobs):
+    series, adj = generate_tiny(tmp_path, steps=240)
+    out = tmp_path / "o"
+    assert run(["sweep", "--series", str(series), "--adj", str(adj), "--ratios", "0.5",
+                "--methods", "mean", "--jobs", jobs, "--out", str(out)]) == 1
+    assert f"usage error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _fast_config(tmp_path):

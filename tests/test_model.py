@@ -219,7 +219,7 @@ def test_identical_nodes_get_identical_spatial_rows():
     p = model.params
     p["pos_space"].data = np.zeros_like(p["pos_space"].data)
     h_matt = ad.constant(np.tile(RNG.standard_normal((1, 4, 4)), (3, 1, 1)))
-    heads = mm.spatial_attention(h_matt, np.ones((3, 4)), p, model.config, 0)
+    heads = mm.spatial_attention(h_matt, p, model.config, 0)
     for head in heads:
         assert np.allclose(head.data[0], head.data[1], atol=1e-12)
 
@@ -237,7 +237,7 @@ def test_spatial_hand_softmax():
     p["block0.spatial.q0"].data = np.array([[1.0]])
     p["block0.spatial.k0"].data = np.array([[1.0]])
     h_matt = ad.constant(np.array([[[1.0], [1.0]], [[0.0], [0.0]]]))  # node means: 1, 0
-    (head,) = mm.spatial_attention(h_matt, np.ones((2, 2)), p, cfg, 0)
+    (head,) = mm.spatial_attention(h_matt, p, cfg, 0)
     e = math.exp(1.0)
     assert np.allclose(head.data, [[e / (e + 1), 1 / (e + 1)], [0.5, 0.5]], atol=1e-14)
 
@@ -580,7 +580,7 @@ def test_single_window_keeps_unbatched_shapes():
     assert [a.shape for a in internals["spatial_weights"]] == [(cfg.heads, 5, 5)] * 2
     assert [a.shape for a in internals["conv_residual"]] == [(5, 6, cfg.d)] * 2
     h = mm.amst_encode(w.x, w.m, model.params, cfg)
-    heads = mm.spatial_attention(h, w.m, model.params, cfg, 0)
+    heads = mm.spatial_attention(h, model.params, cfg, 0)
     assert [s.shape for s in heads] == [(5, 5)] * cfg.heads
     assert mm.graph_conv(h, heads, model.basis, model.params, cfg, 0).shape == (5, 6, cfg.d)
     # a stack of two windows gains the leading axis everywhere
@@ -639,7 +639,7 @@ def test_spatial_attention_matches_conv_then_time_mean(taps):
     model = mm.MagiNet(cfg, ring(4), width=6, n_features=1, seed=5)
     p = model.params
     h = np.random.default_rng(taps).standard_normal((2, 4, 6, cfg.d))
-    heads = mm.spatial_attention(ad.constant(h), np.ones((2, 4, 6)), p, cfg, 0)
+    heads = mm.spatial_attention(ad.constant(h), p, cfg, 0)
     conv = ad.conv1d_time(ad.constant(h), p["block0.collapse.kernel"], "same").data
     z = (conv + p["block0.collapse.bias"].data).mean(axis=-2)
     z = z @ p["block0.collapse.w_proj"].data + p["block0.collapse.b_proj"].data + p["pos_space"].data

@@ -318,72 +318,106 @@ def test_predict_windows_chunk_follows_node_count(n, per_call, monkeypatch):
             assert pred.shape == other.shape and pred.tobytes() == other.tobytes()
 
 
+def pass_windows(monkeypatch, n, per_pass):
+    """Shrink the pair budget so a pass at ``n`` nodes takes ``per_pass``
+    windows: a budget-limited pass, run on one thread per usable CPU."""
+    assert per_pass < training.EVAL_CHUNK
+    monkeypatch.setattr(training, "EVAL_PAIR_BUDGET", per_pass * n * n)
+
+
 @pytest.mark.parametrize("n, count, chunks", [(16, 20, 3), (182, 6, 6)])
 def test_predict_windows_same_bytes_for_any_worker_count(n, count, chunks, monkeypatch):
-    # 16 nodes: chunks of 8, 8 and a short 4; 182 nodes: one window per chunk
+    # 16 nodes under a shrunk budget: chunks of 7, 7 and a short 6;
+    # 182 nodes: one window per chunk under the default budget
     model, windows, _, _ = tiny_setup(n=n, width=6, steps=6 * 30)
     windows = windows[:count]
     model.normalizer = data.Normalizer.fit(windows)
+    pass_windows(monkeypatch, n, -(-count // chunks))
     real_predict = model.predict
     runs = {}
     for cpus in (1, 4):
         pin_cpus(monkeypatch, cpus)
         threads = set()
+        # each thread's first chunk waits until every thread has one, so
+        # the pool really runs min(cpus, chunks) threads at once
+        started = threading.Barrier(min(cpus, chunks))
 
         def spy(chunk):
-            threads.add(threading.get_ident())
+            if threading.get_ident() not in threads:
+                threads.add(threading.get_ident())
+                started.wait(timeout=30)
             return real_predict(chunk)
 
         model.predict = spy
         runs[cpus] = training.predict_windows(model, windows)
-        assert len(threads) <= min(cpus, chunks)
+        assert len(threads) == min(cpus, chunks)
     assert len(runs[1]) == len(runs[4]) == count
     for one, many in zip(runs[1], runs[4]):
         assert one.shape == many.shape and one.tobytes() == many.tobytes()
 
 
+@pytest.mark.parametrize("n, threads_used", [(16, 1), (90, 1), (91, 3)])
+def test_predict_windows_threads_only_for_budget_limited_passes(n, threads_used, monkeypatch):
+    # 20 windows: chunks of 8, 8 and 4 up to 90 nodes, whose passes hold
+    # the GIL and run on one thread; chunks of 7, 7 and 6 at 91 nodes,
+    # the first width the pair budget limits, one thread each
+    pin_cpus(monkeypatch, 4)
+    model, windows, _, _ = tiny_setup(n=n, width=6, steps=6 * 30)
+    windows = windows[:20]
+    model.normalizer = data.Normalizer.fit(windows)
+    real_predict = model.predict
+    threads = set()
+
+    def spy(chunk):
+        threads.add(threading.get_ident())
+        time.sleep(0.05)   # long enough for any idle thread to take the next chunk
+        return real_predict(chunk)
+
+    model.predict = spy
+    training.predict_windows(model, windows)
+    assert len(threads) == threads_used
+
+
 def test_predict_windows_raises_a_helper_threads_error_unchanged(monkeypatch):
-    # the first chunk a helper thread takes ends in a window with a NaN at an
-    # observed entry, which the model's encoder rejects; the calling thread
-    # waits for that failure before it predicts its own chunk
+    # chunks of 4 on four pool threads; the second chunk ends in a window
+    # with a NaN at an observed entry, which the model's encoder rejects
     pin_cpus(monkeypatch, 4)
     model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 30)
     windows = windows[:20]
     model.normalizer = data.Normalizer.fit(windows)
+    windows[7] = with_nan_at_an_observed_entry(windows[7])
+    pass_windows(monkeypatch, 16, 4)
     real_predict = model.predict
-    failed = threading.Event()
-    failed_in = []
+    raised = []
 
     def predict(chunk):
-        if threading.current_thread() is threading.main_thread():
-            assert failed.wait(timeout=30)
-        elif not failed.is_set():
-            try:
-                return real_predict(chunk[:-1] + [with_nan_at_an_observed_entry(chunk[-1])])
-            except InputError:
-                failed_in.append(threading.current_thread())
-                failed.set()
-                raise
-        return real_predict(chunk)
+        try:
+            return real_predict(chunk)
+        except InputError as err:
+            raised.append((threading.current_thread(), err))
+            raise
 
     model.predict = predict
     before = set(threading.enumerate())
-    with pytest.raises(InputError, match="NaN at an observed position"):
+    with pytest.raises(InputError, match="NaN at an observed position") as caught:
         training.predict_windows(model, windows)
-    assert failed_in and threading.main_thread() not in failed_in
-    assert set(threading.enumerate()) == before   # every helper was joined
+    ((thread, err),) = raised
+    assert thread is not threading.main_thread() and caught.value is err
+    assert set(threading.enumerate()) == before   # every pool thread was joined
 
 
 def test_predict_windows_raises_the_first_failing_chunks_error(monkeypatch):
-    # chunks of 8, 8 and 4 windows; the second and third fail, the third first
+    # chunks of 4, 4, 4, 4 and 4 on four threads; the second and third
+    # fail, the third first
     pin_cpus(monkeypatch, 4)
     model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 30)
     windows = windows[:20]
+    pass_windows(monkeypatch, 16, 4)
     real_predict = model.predict
     failures = {1: InputError("second chunk"), 2: InputError("third chunk")}
 
     def predict(chunk):
-        index = next(i for i, w in enumerate(windows) if w is chunk[0]) // 8
+        index = next(i for i, w in enumerate(windows) if w is chunk[0]) // 4
         if index == 1:
             time.sleep(0.1)
         if index in failures:
@@ -396,19 +430,47 @@ def test_predict_windows_raises_the_first_failing_chunks_error(monkeypatch):
     assert caught.value is failures[1]   # as one thread, taking the chunks in order, raises
 
 
+def test_predict_windows_cancels_chunks_not_started_after_a_failure(monkeypatch):
+    # 20 chunks of one window on two threads; the first fails at once and
+    # every other one takes 0.2 s, so without the cancel all 20 would run
+    pin_cpus(monkeypatch, 2)
+    model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 30)
+    windows = windows[:20]
+    pass_windows(monkeypatch, 16, 1)
+    real_predict = model.predict
+    started = []
+
+    def predict(chunk):
+        started.append(chunk[0])
+        if chunk[0] is windows[0]:
+            raise InputError("first chunk")
+        time.sleep(0.2)
+        return real_predict(chunk)
+
+    model.predict = predict
+    before = set(threading.enumerate())
+    with pytest.raises(InputError, match="first chunk"):
+        training.predict_windows(model, windows)
+    assert len(started) < len(windows)
+    assert set(threading.enumerate()) == before
+
+
 def test_predict_windows_stress_each_chunk_predicted_once(monkeypatch):
     # more threads than cores and a very short switch interval: every chunk
     # is taken by exactly one thread and its predictions land in its place
     model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 100)
-    windows = windows[:66]   # chunks of 8, the last one of 2
+    windows = windows[:66]   # chunks of 2 under a shrunk budget
     model.normalizer = data.Normalizer.fit(windows)
+    pass_windows(monkeypatch, 16, 2)
     pin_cpus(monkeypatch, 1)
     alone = training.predict_windows(model, windows)
     real_predict = model.predict
     calls = []
+    threads = set()
 
     def spy(chunk):
         calls.append(chunk[0])
+        threads.add(threading.get_ident())
         return real_predict(chunk)
 
     model.predict = spy
@@ -419,7 +481,8 @@ def test_predict_windows_stress_each_chunk_predicted_once(monkeypatch):
         for _ in range(3):
             calls.clear()
             preds = training.predict_windows(model, windows)
-            assert sorted(map(id, calls)) == sorted(id(w) for w in windows[::8])
+            assert sorted(map(id, calls)) == sorted(id(w) for w in windows[::2])
             assert [p.tobytes() for p in preds] == [p.tobytes() for p in alone]
     finally:
         sys.setswitchinterval(interval)
+    assert len(threads) > 1
