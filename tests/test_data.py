@@ -342,10 +342,10 @@ def outcome(read, path):
         return f"InputError: {err}"
 
 
-MISSING_CELLS = ["", "", " ", "\t", "nan", "NaN", " NAN ", "-nan"]
+MISSING_CELLS = ["", "", " ", "\t", "nan", "NaN", " NAN ", "-nan", '""', '" "']
 ODD_VALUE_CELLS = ["inf", "1_000", "1e+16", "-0.0", '"2.5"', '"1,5"', " 3.25 ", "+4", ".5", "oops",
-                   "0x10", "7#8", "2.5\x0c"]
-ODD_MASK_CELLS = ["2", "-1", "1.0", "300", " 1", "+1", "01", "", "x", '"1"', "1_0", "1#0", "0\x0c"]
+                   "0x10", "7#8", "2.5\x0c", "1_0x"]
+ODD_MASK_CELLS = ["2", "-1", "1.0", "300", " 1", "+1", "01", "", "x", '"1"', "1_0", "1#0", "0\x0c", "0_1"]
 
 
 def fuzz_lines(rng, header, body, comments):
