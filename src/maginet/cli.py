@@ -245,21 +245,16 @@ def _load_series_graph(args):
     return series, graph
 
 
-def _load_or_make_mask(args, cfg: RunConfig, series, out_dir: Path | None,
-                       note: str | None = None):
-    """Load the persisted eval mask, or draw one and persist it."""
-    if args.mask:
-        mask, _, _ = data.load_mask_csv(_require(args.mask, "mask"))
-        if mask.shape != (series.n_nodes, series.n_steps):
-            raise InputError(
-                f"mask geometry {mask.shape} does not match series "
-                f"({series.n_nodes}, {series.n_steps})"
-            )
-        return mask
-    mask = data.draw_eval_mask(series, cfg.ratio, cfg.seed)
-    if out_dir is not None:
-        data.save_mask_csv(out_dir / "mask.csv", mask, seed=cfg.seed, ratio=cfg.ratio,
-                           comment=note)
+def _load_or_draw_mask(args, cfg: RunConfig, series):
+    """Load the persisted eval mask, or draw one."""
+    if not args.mask:
+        return data.draw_eval_mask(series, cfg.ratio, cfg.seed)
+    mask, _, _ = data.load_mask_csv(_require(args.mask, "mask"))
+    if mask.shape != (series.n_nodes, series.n_steps):
+        raise InputError(
+            f"mask geometry {mask.shape} does not match series "
+            f"({series.n_nodes}, {series.n_steps})"
+        )
     return mask
 
 
@@ -276,10 +271,10 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--nodes must be >= 2, got {cfg.nodes}")
     if cfg.steps < cfg.width:
         raise UsageError(f"--steps must be >= window width ({cfg.width}), got {cfg.steps}")
-    out = _out_dir(args)
     graph = data.synthetic_graph(cfg.nodes, extra_edges=cfg.extra_edges, seed=cfg.seed)
     series = data.generate_synthetic(cfg.nodes, cfg.steps, graph, cfg.seed, period=cfg.period,
                                      amplitude=cfg.amplitude, offset=cfg.offset, noise=cfg.noise)
+    out = _out_dir(args)
     note = _provenance(args, cfg.seed)
     series_path = Path(args.series) if args.series else out / "series.csv"
     adj_path = Path(args.adj) if args.adj else out / "adjacency.csv"
@@ -305,15 +300,17 @@ def cmd_mask(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
     series, graph = _load_series_graph(args)
-    note = _provenance(args, cfg.seed)
-    mask = _load_or_make_mask(args, cfg, series, out, note)
+    mask = _load_or_draw_mask(args, cfg, series)
     windows = data.make_windows(series, mask, cfg.width, cfg.effective_stride)
     train_ws, valid_ws, test_ws = data.split(windows, cfg.fractions)
     model = MagiNet(cfg.model_config(), graph, width=cfg.width, n_features=series.n_features,
                     seed=cfg.seed)
     result = train_model(model, train_ws, valid_ws, cfg.train_config())
+    out = _out_dir(args)
+    note = _provenance(args, cfg.seed)
+    if not args.mask:
+        data.save_mask_csv(out / "mask.csv", mask, seed=cfg.seed, ratio=cfg.ratio, comment=note)
     save_checkpoint(out / "checkpoint.json", model, comment=note)
     data.write_rows(out / "history.csv", history_rows(result), note)
     cfg.to_file(out / "config.json")
@@ -333,7 +330,7 @@ def cmd_impute(args) -> int:
     cfg = _load_config(args)
     series, graph = _load_series_graph(args)
     model = load_checkpoint(_require(args.checkpoint, "checkpoint"), graph)
-    mask = _load_or_make_mask(args, cfg, series, None) if args.mask else np.zeros(
+    mask = _load_or_draw_mask(args, cfg, series) if args.mask else np.zeros(
         (series.n_nodes, series.n_steps), dtype=np.int8)
     width, steps = model.width, series.n_steps
     windows = data.make_windows(series, mask, width, width)
@@ -358,39 +355,41 @@ def cmd_impute(args) -> int:
 
 def cmd_eval(args) -> int:
     methods = _listed(_csv_names(args.methods), "--methods")
+    unknown = [method for method in methods if method not in (*evaluation.BASELINES, "maginet")]
+    if unknown:
+        raise InputError(f"unknown method {unknown[0]!r}")
     cfg = _load_config(args)
     series, graph = _load_series_graph(args)
-    mask = _load_or_make_mask(args, cfg, series, None)
+    model = load_checkpoint(_require(args.checkpoint, "checkpoint"), graph) if "maginet" in methods else None
+    mask = _load_or_draw_mask(args, cfg, series)
     windows = data.make_windows(series, mask, cfg.width, cfg.effective_stride)
     chosen = windows if args.split == "all" else data.split(windows, cfg.fractions)[2]
     if not chosen:
         raise InputError("no windows in the selected split")
     tag = _dataset_tag(args)
     report = evaluation.EvalReport()
-    out = _out_dir(args)
-    note = _provenance(args, cfg.seed)
+    predictions = []
     for method in methods:
         start = time.perf_counter()
-        if method in evaluation.BASELINES:
-            preds = evaluation.baseline_predictions(method, chosen, cfg.knn_k)
-        elif method == "maginet":
-            model = load_checkpoint(_require(args.checkpoint, "checkpoint"), graph)
-            preds = predict_windows(model, chosen)
-        else:
-            raise InputError(f"unknown method {method!r}")
+        preds = (predict_windows(model, chosen) if method == "maginet"
+                 else evaluation.baseline_predictions(method, chosen, cfg.knn_k))
         m_rmse, m_mape = evaluation.pooled_metrics(preds, chosen)
         report.rows.append(evaluation.ReportRow(
             method=method, dataset=tag, ratio=cfg.ratio, seed=cfg.seed,
             rmse=m_rmse, mape=m_mape, runtime_s=time.perf_counter() - start))
-        if args.traces:
-            trace_dir = Path(args.traces)
-            trace_dir.mkdir(parents=True, exist_ok=True)
+        predictions.append(preds)
+        print(f"{method}: RMSE {m_rmse:.6f}, MAPE {m_mape:.4f}%")
+    out = _out_dir(args)
+    note = _provenance(args, cfg.seed)
+    if args.traces:
+        trace_dir = Path(args.traces)
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        for method, preds in zip(methods, predictions):
             for node, rows in evaluation.imputation_traces(chosen, preds).items():
                 data.write_rows(trace_dir / f"{method}_node{node}.csv",
                                 [["t", "ground_truth", "imputed", "observed"]]
                                 + [[t, repr(gt), repr(pred), obs] for t, gt, pred, obs in rows],
                                 note)
-        print(f"{method}: RMSE {m_rmse:.6f}, MAPE {m_mape:.4f}%")
     report.to_csv(out / "report.csv", comment=note)
     return 0
 

@@ -14,67 +14,12 @@ import csv
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, InputError
 from .graph import TrafficGraph
-
-MISSING_TOKENS = {"", "nan"}
-
-
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Split a CSV into leading comment lines and data rows."""
-    comments: list[str] = []
-    rows: list[list[str]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for raw in csv.reader(handle):
-            if not rows and raw and raw[0].startswith("#"):
-                comments.append(",".join(raw))
-            elif raw:
-                rows.append(raw)
-    return comments, rows
-
-
-def _read_lines(path) -> tuple[list[str], list[str]]:
-    """``_read_rows`` with each data row left as its line, for the bulk readers.
-
-    In a file with no quote character, csv.reader ends a row at every line
-    end and a cell at every comma, so the lines are the rows. A file that
-    quotes gives no lines, which sends it to the cell-by-cell reader.
-    """
-    try:
-        # universal newlines end lines where csv.reader ends rows
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except UnicodeDecodeError:
-        raise InputError(f"{path}: not UTF-8 text") from None
-    if '"' in text:
-        return [], []
-    lines = [line for line in text.split("\n") if line]
-    start = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
-    return lines[:start], lines[start:]
-
-
-def _bulk_cells(lines: list[str], width: int, dtype) -> np.ndarray | None:
-    """The (rows, width) cells of comma-separated lines from one np.loadtxt
-    call, or None when it rejects a cell or a row is not ``width`` long.
-
-    np.loadtxt accepts a subset of what Python's ``float`` and ``int``
-    accept and gives the same values; a cell outside that subset (``1_000``,
-    a whitespace-only cell) sends the file to the cell-by-cell reader.
-    """
-    if not lines:
-        return None
-    with warnings.catch_warnings():
-        # older numpy releases read "1.0" into an int dtype, with only a DeprecationWarning
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            cells = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=2)
-        except (ValueError, DeprecationWarning):
-            return None
-    return cells if cells.shape == (len(lines), width) else None
 
 
 @dataclass(frozen=True)
@@ -412,6 +357,69 @@ def save_series_csv(path, series: SeriesMatrix, comment: str | None = None) -> N
             handle.write(",".join(map(repr, step.ravel().tolist())).replace("nan", "") + "\n")
 
 
+def _read_csv(path, kind: str) -> tuple[list[str], list[str], list[str]]:
+    """A CSV's leading ``#`` comment lines, its header's cells and the lines after the header."""
+    try:
+        # universal newlines end lines where csv.reader ends rows
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+    start = next((i for i, line in enumerate(lines) if line and not line.startswith("#")), None)
+    if start is None:
+        raise InputError(f"{path}: empty {kind} file")
+    return [line for line in lines[:start] if line], next(csv.reader([lines[start]])), lines[start + 1:]
+
+
+# in ",line," a comma starts every cell and another ends it
+_MISSING_CELL = re.compile(r',(?=[\s,"])(?:"\s*")?\s*(?=,)')
+
+
+def _cells(lines: list[str], width: int, kind: type) -> np.ndarray | None:
+    """The (rows, width) cells of CSV lines from one np.loadtxt call, as
+    ``float`` (series) or ``int`` (mask, 0 or 1), or None when it rejects one
+    or a row is not ``width`` long, as when a quoted cell joins two lines.
+
+    np.loadtxt reads what ``float`` and ``int`` read, to the same values,
+    once empty and whitespace-only float cells, quoted or not, are spelled
+    ``nan``; lines with an underscore or a non-ASCII character, which only
+    ``kind`` may read (``1_000``, other scripts' digits), go to ``kind``."""
+    rows = [line for line in lines if line]
+    if kind is float:
+        rows = [_MISSING_CELL.sub(",nan", f",{line},")[1:-1] for line in rows]
+    if not rows:
+        return np.empty((0, width), kind)
+    plain = all(line.isascii() and "_" not in line for line in rows)
+    with warnings.catch_warnings():
+        # older numpy releases read "1.0" into an int dtype, with only a DeprecationWarning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            cells = np.loadtxt(rows, dtype=kind, delimiter=",", comments=None, ndmin=2, quotechar='"',
+                               converters=None if plain else kind)
+        except (ValueError, DeprecationWarning):
+            return None
+    if cells.shape != (len(rows), width) or kind is int and not np.isin(cells, (0, 1)).all():
+        return None
+    return cells
+
+
+def _quoted(cells: list[str]) -> list[str]:
+    """The lines of a CSV row whose cells are exactly ``cells``."""
+    return ",".join('"' + cell.replace('"', '""') + '"' for cell in cells).split("\n")
+
+
+def _first_bad_row(path, lines: list[str], width: int, kind: type) -> tuple[int, list[str]]:
+    """The number, counting the header as row 1, and the cells of the first
+    csv.reader row of ``lines`` that ``_cells`` rejects, which raises here
+    if the row is not ``width`` cells long."""
+    rows = (row for row in csv.reader(line + "\n" for line in lines) if row)
+    number, row = next((number, row) for number, row in enumerate(rows, start=2)
+                       if len(row) != width or _cells(_quoted(row), width, kind) is None)
+    if len(row) != width:
+        raise InputError(f"{path}: row {number} has {len(row)} cells, expected {width}")
+    return number, row
+
+
 _COLUMN = re.compile(r"^node(\d+)_f(\d+)$")
 
 
@@ -431,54 +439,21 @@ def _series_columns(path, header: list[str]) -> tuple[list[tuple[int, int]], int
     return parsed, n, c
 
 
-_EMPTY_CELL = re.compile(",(?=,)")  # a comma followed by another closes an empty cell
-
-
-def _spell_missing(lines: list[str]) -> list[str]:
-    """The lines with every empty cell spelled ``nan``, which np.loadtxt reads."""
-    # in ",line," every cell lies between two commas
-    return [_EMPTY_CELL.sub(",nan", f",{line},")[1:-1] for line in lines]
-
-
 def load_series_csv(path) -> SeriesMatrix:
     """Read ``save_series_csv``'s format; README.md "File formats" gives the cell grammar.
 
-    The body is converted in one np.loadtxt call. A file that call cannot
-    read (quoted or whitespace-only cells, spellings only ``float`` accepts,
-    malformed rows) is read cell by cell, which also names a bad cell's row
-    and column; both give the same values.
-    """
-    _, lines = _read_lines(path)
-    if lines:
-        columns, n, c = _series_columns(path, lines[0].split(","))
-        cells = _bulk_cells(_spell_missing(lines[1:]), len(columns), np.float64)
-        if cells is not None:
-            nodes, feats = (np.array(axis) for axis in zip(*columns))
-            values = np.empty((n, len(cells), c))
-            values[nodes, :, feats] = cells.T
-            return SeriesMatrix(values=values)
-    return _load_series_by_cell(path)
-
-
-def _load_series_by_cell(path) -> SeriesMatrix:
-    """``load_series_csv`` through csv.reader and one ``float`` per cell."""
-    _, rows = _read_rows(path)
-    if not rows:
-        raise InputError(f"{path}: empty series file")
-    parsed, n, c = _series_columns(path, rows[0])
-    values = np.full((n, len(rows) - 1, c), np.nan)
-    for t, row in enumerate(rows[1:]):
-        if len(row) != len(parsed):
-            raise InputError(f"{path}: row {t + 2} has {len(row)} cells, expected {len(parsed)}")
-        for k, cell in enumerate(row):
-            token = cell.strip()
-            if token.lower() in MISSING_TOKENS:
-                continue
-            node, feat = parsed[k]
-            try:
-                values[node, t, feat] = float(token)
-            except ValueError:
-                raise InputError(f"{path}: row {t + 2} column {k + 1}: non-numeric cell {cell!r}") from None
+    The values come from one np.loadtxt call; when it rejects the file, the
+    error names the first bad row, and for a bad cell its column and text."""
+    _, header, lines = _read_csv(path, "series")
+    columns, n, c = _series_columns(path, header)
+    cells = _cells(lines, len(columns), float)
+    if cells is None:
+        number, row = _first_bad_row(path, lines, len(columns), float)
+        k = next(k for k, cell in enumerate(row) if _cells(_quoted([cell]), 1, float) is None)
+        raise InputError(f"{path}: row {number} column {k + 1}: non-numeric cell {row[k]!r}")
+    nodes, feats = (np.array(axis) for axis in zip(*columns))
+    values = np.empty((n, len(cells), c))
+    values[nodes, :, feats] = cells.T
     return SeriesMatrix(values=values)
 
 
@@ -507,33 +482,12 @@ def _mask_provenance(comments: list[str]) -> tuple[int | None, float | None]:
 def load_mask_csv(path) -> tuple[np.ndarray, int | None, float | None]:
     """Read ``save_mask_csv``'s format: the (nodes, steps) int8 mask, seed, ratio.
 
-    Cells are parsed as int64 in one np.loadtxt call and checked for 0/1
-    before narrowing. A file that call cannot read, or that holds another
-    value, is read cell by cell, which names the bad row.
+    The cells come from one np.loadtxt call, as ints checked for 0/1
+    before narrowing. When that fails, the error names the first bad row.
     """
-    comments, lines = _read_lines(path)
-    cells = _bulk_cells(lines[1:], lines[0].count(",") + 1, np.int64) if lines else None
-    if cells is None or not np.isin(cells, (0, 1)).all():
-        return _load_mask_by_cell(path)
+    comments, header, lines = _read_csv(path, "mask")
+    cells = _cells(lines, len(header), int)
+    if cells is None:
+        number, _ = _first_bad_row(path, lines, len(header), int)
+        raise InputError(f"{path}: row {number}: mask cells must be 0/1")
     return cells.astype(np.int8).T, *_mask_provenance(comments)
-
-
-def _load_mask_by_cell(path) -> tuple[np.ndarray, int | None, float | None]:
-    """``load_mask_csv`` through csv.reader and one ``int`` per cell."""
-    comments, rows = _read_rows(path)
-    seed, ratio = _mask_provenance(comments)
-    if not rows:
-        raise InputError(f"{path}: empty mask file")
-    n = len(rows[0])
-    data = []
-    for t, row in enumerate(rows[1:]):
-        if len(row) != n:
-            raise InputError(f"{path}: row {t + 2} has {len(row)} cells, expected {n}")
-        try:
-            cells = [int(cell) for cell in row]
-        except ValueError:
-            cells = None
-        if cells is None or not {0, 1}.issuperset(cells):
-            raise InputError(f"{path}: row {t + 2}: mask cells must be 0/1")
-        data.append(cells)
-    return np.array(data, dtype=np.int8).reshape(-1, n).T, seed, ratio

@@ -510,18 +510,30 @@ def test_ablate_with_empty_test_split_names_it_before_training(tmp_path, capsys,
     assert trained == []
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("eval", "--methods"), ("sweep", "--methods"), ("sweep", "--ratios"),
-], ids=["eval-methods", "sweep-methods", "sweep-ratios"])
-def test_empty_list_is_usage_error_before_any_file_is_written(tmp_path, capsys, command, flag):
+@pytest.mark.parametrize("argv, code, message", [
+    (["eval", "--methods", ","], 1, "usage error: --methods lists no entries"),
+    (["sweep", "--ratios", "0.5", "--methods", ","], 1, "usage error: --methods lists no entries"),
+    (["sweep", "--ratios", ","], 1, "usage error: --ratios lists no entries"),
+    (["eval", "--methods", "mean,bogus"], 2, "input error: unknown method 'bogus'"),
+    (["eval", "--methods", "mean,maginet"], 1, "usage error: missing required flag --checkpoint"),
+    (["eval", "--methods", "mean,knn", "--knn-k", "0"], 2, "input error: k must be >= 1, got 0"),
+    (["train", "--kernels", ","], 2, "input error: kernel_sizes must be nonempty"),
+    (["train", "--batch-size", "0"], 2, "input error: batch_size must be >= 1"),
+    (["train", "--series", "{tmp}/missing.csv"], 2, "input error: series file not found"),
+], ids=["eval-methods", "sweep-methods", "sweep-ratios", "eval-unknown-method",
+        "eval-maginet-without-checkpoint", "eval-knn-k-zero", "train-no-kernels",
+        "train-batch-size-zero", "train-missing-series"])
+def test_empty_list_is_usage_error_before_any_file_is_written(tmp_path, capsys, argv, code, message):
+    # and every other bad input: each command checks all of them before its first write
     series, adj = generate_tiny(tmp_path, steps=240)
-    out = tmp_path / "o"
-    argv = [command, "--series", str(series), "--adj", str(adj), "--out", str(out)]
-    if command == "sweep" and flag != "--ratios":
-        argv += ["--ratios", "0.5"]
-    assert run(argv + [flag, ","]) == 1
-    assert f"usage error: {flag} lists no entries" in capsys.readouterr().err
-    assert not out.exists()
+    out, traces = tmp_path / "o", tmp_path / "tr"
+    flags = ["--series", str(series), "--adj", str(adj), "--out", str(out)]
+    if argv[0] == "eval":
+        flags += ["--traces", str(traces)]
+    # a flag the case repeats overrides the one before it
+    assert run(argv[:1] + flags + [arg.format(tmp=tmp_path) for arg in argv[1:]]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not traces.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

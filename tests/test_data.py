@@ -244,6 +244,19 @@ def test_series_non_numeric_cell_names_position(tmp_path):
     assert "row 3" in str(err.value) and "column 1" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('node0_f0\n"\n2"\n', r"row 2 column 1: non-numeric cell '\n2'"),
+    ('node0_f0,node1_f0\n1.0," ', r"row 2 column 2: non-numeric cell ' \n'"),
+], ids=["line-break-in-quotes", "quote-open-at-end-of-file"])
+def test_series_quoted_cell_must_end_on_its_line(tmp_path, text, message):
+    # csv.reader joins the lines into one cell, which float() would read as 2.0 or missing
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    with pytest.raises(InputError) as err:
+        data.load_series_csv(path)
+    assert str(err.value).endswith(message)
+
+
 def test_mask_roundtrip(tmp_path):
     series = toy_series(steps=16)
     mask = data.draw_eval_mask(series, 0.5, 21)
@@ -344,8 +357,9 @@ def outcome(read, path):
 
 MISSING_CELLS = ["", "", " ", "\t", "nan", "NaN", " NAN ", "-nan", '""', '" "']
 ODD_VALUE_CELLS = ["inf", "1_000", "1e+16", "-0.0", '"2.5"', '"1,5"', " 3.25 ", "+4", ".5", "oops",
-                   "0x10", "7#8", "2.5\x0c", "1_0x"]
-ODD_MASK_CELLS = ["2", "-1", "1.0", "300", " 1", "+1", "01", "", "x", '"1"', "1_0", "1#0", "0\x0c", "0_1"]
+                   "0x10", "7#8", "2.5\x0c", "1_0x", '"1"_2.5', "\u0661\u0662"]
+ODD_MASK_CELLS = ["2", "-1", "1.0", "300", " 1", "+1", "01", "", "x", '"1"', "1_0", "1#0", "0\x0c", "0_1",
+                  "\u0661"]
 
 
 def fuzz_lines(rng, header, body, comments):
@@ -376,7 +390,7 @@ def fuzz_series_file(rng, path):
         header[-1] = "node9_f0"
     if rng.random() < 0.05:
         header[0] = f'"{header[0]}"'
-    odd = rng.random() < 0.4  # a file with odd cells takes the cell loop or must match it
+    odd = rng.random() < 0.4  # odd cells: quoted, padded or underscored values, and bad cells
     body = []
     for _ in range(steps):
         missing = {i: MISSING_CELLS[int(rng.integers(len(MISSING_CELLS)))]
@@ -404,23 +418,14 @@ def fuzz_mask_file(rng, path):
     path.write_bytes(fuzz_lines(rng, [f"node{i}" for i in range(n)], body, comments).encode())
 
 
-def test_series_reader_matches_the_cell_loop_on_fuzzed_files(tmp_path, monkeypatch):
-    by_cell = data._load_series_by_cell
-    seen = {"files": 0, "bulk": 0, "by cell": 0, "values": 0, "errors": 0}
-
-    def counted(path):
-        seen["by cell"] += 1
-        return by_cell(path)
-
-    monkeypatch.setattr(data, "_load_series_by_cell", counted)
+def test_series_reader_matches_the_cell_loop_on_fuzzed_files(tmp_path):
+    seen = {"files": 0, "values": 0, "errors": 0}
     rng = np.random.default_rng(17)
     path = tmp_path / "s.csv"
     for _ in range(300):
         fuzz_series_file(rng, path)
-        before = seen["by cell"]
         want, got = outcome(series_by_cell, path), outcome(data.load_series_csv, path)
         seen["files"] += 1
-        seen["bulk"] += seen["by cell"] == before
         if isinstance(want, str):
             seen["errors"] += 1
             assert got == want, path.read_bytes()
@@ -432,23 +437,14 @@ def test_series_reader_matches_the_cell_loop_on_fuzzed_files(tmp_path, monkeypat
     assert min(seen.values()) >= 30, seen
 
 
-def test_mask_reader_matches_the_cell_loop_on_fuzzed_files(tmp_path, monkeypatch):
-    by_cell = data._load_mask_by_cell
-    seen = {"files": 0, "bulk": 0, "by cell": 0, "values": 0, "errors": 0}
-
-    def counted(path):
-        seen["by cell"] += 1
-        return by_cell(path)
-
-    monkeypatch.setattr(data, "_load_mask_by_cell", counted)
+def test_mask_reader_matches_the_cell_loop_on_fuzzed_files(tmp_path):
+    seen = {"files": 0, "values": 0, "errors": 0}
     rng = np.random.default_rng(19)
     path = tmp_path / "m.csv"
     for _ in range(300):
         fuzz_mask_file(rng, path)
-        before = seen["by cell"]
         want, got = outcome(mask_by_cell, path), outcome(data.load_mask_csv, path)
         seen["files"] += 1
-        seen["bulk"] += seen["by cell"] == before
         if isinstance(want, str):
             seen["errors"] += 1
             assert got == want, path.read_bytes()
