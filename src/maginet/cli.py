@@ -1,12 +1,15 @@
 """Command-line pipeline: generate | mask | train | impute | eval | sweep | ablate.
 
-Configuration comes from an optional JSON file (--config) with flag
-overrides on top; flags always win. Every command is deterministic given
-its flags, and every output file starts with a comment line naming the
-run by content: the tool version, the subcommand, the non-path flags
-other than ``sweep --jobs`` (a worker count changes no value), a sha256
-of each input file, and the seed. No path is recorded, so the same
-inputs and flags give the same bytes in any directory.
+Each command takes only the flags it reads; any other flag is a usage
+error. Settings come from an optional JSON file (--config) with flag
+overrides on top; flags always win, and the file may hold keys a command
+ignores. Every command is deterministic given its flags and writes its
+files into --out (eval's traces into --traces). Each output file starts
+with a comment line naming the run by content: the tool version, the
+subcommand, the non-path flags other than ``sweep --jobs`` (a worker
+count changes no value), a sha256 of each input file, and the seed of a
+command that reads one. No path is recorded, so the same inputs and
+flags give the same bytes in any directory.
 
 Exit codes: 0 success, 1 usage, 2 input error, 3 numeric failure.
 """
@@ -32,7 +35,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .graph import TrafficGraph, load_adjacency, save_adjacency
+from .graph import load_adjacency, save_adjacency
 from .model import MagiNet, ModelConfig, load_checkpoint, save_checkpoint
 from .training import TrainConfig, evaluate_model, history_rows, predict_windows, train_model
 
@@ -179,18 +182,17 @@ def _flag_text(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _provenance(args: argparse.Namespace, seed: int) -> str:
+def _provenance(args: argparse.Namespace, seed: int | None = None) -> str:
     """Name the run by content: no path enters the line, so the same
     inputs and flags give the same bytes in any directory."""
     flags = " ".join(f"{name}={_flag_text(value)}" for name, value in sorted(vars(args).items())
                      if value is not None and name not in _NOT_FLAGS)
-    # generate writes --series/--adj rather than reading them; a missing
-    # input is not hashed here but reported by _require with its exit code
-    inputs = ("config",) if args.command == "generate" else _INPUT_FILES
-    digests = " ".join(f"{name}=sha256:{_sha256(Path(path))}" for name in inputs
+    # a missing input is not hashed here but reported by _require with its exit code
+    digests = " ".join(f"{name}=sha256:{_sha256(Path(path))}" for name in _INPUT_FILES
                        if (path := getattr(args, name, None)) and Path(path).is_file())
     parts = [f"maginet v{__version__}", f"{args.command} {flags}".rstrip()]
-    return " | ".join(parts + ([digests] if digests else []) + [f"seed={seed}"])
+    return " | ".join(parts + ([digests] if digests else [])
+                      + ([f"seed={seed}"] if seed is not None else []))
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -245,11 +247,8 @@ def _load_series_graph(args):
     return series, graph
 
 
-def _load_or_draw_mask(args, cfg: RunConfig, series):
-    """Load the persisted eval mask, or draw one."""
-    if not args.mask:
-        return data.draw_eval_mask(series, cfg.ratio, cfg.seed)
-    mask, _, _ = data.load_mask_csv(_require(args.mask, "mask"))
+def _load_mask(path, series):
+    mask = data.load_mask_csv(_require(path, "mask"))
     if mask.shape != (series.n_nodes, series.n_steps):
         raise InputError(
             f"mask geometry {mask.shape} does not match series "
@@ -258,8 +257,15 @@ def _load_or_draw_mask(args, cfg: RunConfig, series):
     return mask
 
 
+def _load_or_draw_mask(args, cfg: RunConfig, series):
+    """Load the persisted eval mask, or draw one."""
+    if not args.mask:
+        return data.draw_eval_mask(series, cfg.ratio, cfg.seed)
+    return _load_mask(args.mask, series)
+
+
 def _dataset_tag(args) -> str:
-    return Path(args.series).stem if args.series else "synthetic"
+    return Path(args.series).stem
 
 
 # -- commands -----------------------------------------------------------------
@@ -271,13 +277,14 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--nodes must be >= 2, got {cfg.nodes}")
     if cfg.steps < cfg.width:
         raise UsageError(f"--steps must be >= window width ({cfg.width}), got {cfg.steps}")
+    if cfg.period < 1:
+        raise UsageError(f"--period must be >= 1, got {cfg.period}")
     graph = data.synthetic_graph(cfg.nodes, extra_edges=cfg.extra_edges, seed=cfg.seed)
     series = data.generate_synthetic(cfg.nodes, cfg.steps, graph, cfg.seed, period=cfg.period,
                                      amplitude=cfg.amplitude, offset=cfg.offset, noise=cfg.noise)
     out = _out_dir(args)
     note = _provenance(args, cfg.seed)
-    series_path = Path(args.series) if args.series else out / "series.csv"
-    adj_path = Path(args.adj) if args.adj else out / "adjacency.csv"
+    series_path, adj_path = out / "series.csv", out / "adjacency.csv"
     data.save_series_csv(series_path, series, comment=note)
     save_adjacency(adj_path, graph, comment=note)
     vals = series.values
@@ -327,10 +334,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_impute(args) -> int:
-    cfg = _load_config(args)
     series, graph = _load_series_graph(args)
     model = load_checkpoint(_require(args.checkpoint, "checkpoint"), graph)
-    mask = _load_or_draw_mask(args, cfg, series) if args.mask else np.zeros(
+    mask = _load_mask(args.mask, series) if args.mask else np.zeros(
         (series.n_nodes, series.n_steps), dtype=np.int8)
     width, steps = model.width, series.n_steps
     windows = data.make_windows(series, mask, width, width)
@@ -348,16 +354,14 @@ def cmd_impute(args) -> int:
         covered = start + width
     out = _out_dir(args)
     path = out / "imputed.csv"
-    data.save_series_csv(path, data.SeriesMatrix(values=filled), comment=_provenance(args, cfg.seed))
+    data.save_series_csv(path, data.SeriesMatrix(values=filled), comment=_provenance(args))
     print(f"imputed series -> {path}")
     return 0
 
 
 def cmd_eval(args) -> int:
     methods = _listed(_csv_names(args.methods), "--methods")
-    unknown = [method for method in methods if method not in (*evaluation.BASELINES, "maginet")]
-    if unknown:
-        raise InputError(f"unknown method {unknown[0]!r}")
+    evaluation.check_methods(methods)
     cfg = _load_config(args)
     series, graph = _load_series_graph(args)
     model = load_checkpoint(_require(args.checkpoint, "checkpoint"), graph) if "maginet" in methods else None
@@ -435,92 +439,76 @@ def cmd_ablate(args) -> int:
 # -- argument wiring ------------------------------------------------------------
 
 
+_COMMANDS = {
+    "generate": (cmd_generate, "write a synthetic series and adjacency into --out"),
+    "mask": (cmd_mask, "draw and persist an MCAR eval mask"),
+    "train": (cmd_train, "train the imputation model"),
+    "impute": (cmd_impute, "fill missing entries with a trained model"),
+    "eval": (cmd_eval, "score methods on held-out positions"),
+    "sweep": (cmd_sweep, "missing-ratio sensitivity sweep"),
+    "ablate": (cmd_ablate, "train ablation variants on one mask"),
+}
+_WINDOWS = "train eval sweep ablate"   # the commands that window a series on a graph
+_TRAINS = "train sweep ablate"
+
+# every flag once: its name, the commands that read it, and argparse's keywords
+_FLAGS = [
+    ("--series", "mask impute " + _WINDOWS, dict(help="series CSV path")),
+    ("--adj", "impute " + _WINDOWS, dict(help="adjacency edge-list CSV path")),
+    ("--mask", "train impute eval", dict(help="eval mask CSV path")),
+    ("--checkpoint", "impute eval", dict(help="checkpoint JSON path (eval: for method maginet)")),
+    ("--config", "generate mask " + _WINDOWS, dict(help="JSON config file; flags override it")),
+    ("--out", " ".join(_COMMANDS), dict(help="output directory (default: current)")),
+    ("--seed", "generate mask " + _WINDOWS, dict(type=int, help="master seed")),
+    ("--ratio", "mask train eval ablate", dict(type=float, help="missing ratio in [0,1]")),
+    ("--width", "generate " + _WINDOWS, dict(type=int, help="window width")),
+    ("--stride", _WINDOWS, dict(type=int, help="window stride (default: width)")),
+    ("--nodes", "generate", dict(type=int)),
+    ("--steps", "generate", dict(type=int)),
+    ("--period", "generate", dict(type=int)),
+    ("--amplitude", "generate", dict(type=float)),
+    ("--offset", "generate", dict(type=float)),
+    ("--noise", "generate", dict(type=float)),
+    ("--extra-edges", "generate", dict(type=int)),
+    ("--lr", _TRAINS, dict(dest="learning_rate", type=float)),
+    ("--epochs", _TRAINS, dict(type=int)),
+    ("--batch-size", _TRAINS, dict(type=int)),
+    ("--patience", _TRAINS, dict(type=int)),
+    ("--hide-fraction", _TRAINS, dict(type=float, help="share of observed entries hidden and "
+                                      "supervised per training window, in [0, 1) (default 0: off)")),
+    ("--grad-clip", "train", dict(type=float)),
+    ("--d", "train", dict(type=int)),
+    ("--heads", "train", dict(type=int)),
+    ("--head-dim", "train", dict(type=int)),
+    ("--spatial-dim", "train", dict(type=int)),
+    ("--cheb-order", "train", dict(type=int)),
+    ("--kernels", "train", dict(dest="kernel_sizes", type=_csv_ints)),
+    ("--blocks", "train", dict(type=int)),
+    ("--spatial-kernel", "train", dict(type=int)),
+    ("--mask-mode", "train", dict(choices=["neg_inf", "multiply"])),
+    ("--ablate", "train", dict(dest="ablations", type=_csv_names,
+                               help="comma-separated ablation toggles")),
+    ("--methods", "eval sweep", dict(default="mean,knn")),
+    ("--knn-k", "eval sweep", dict(type=int)),
+    ("--split", "eval", dict(choices=["test", "all"], default="test")),
+    ("--traces", "eval", dict(help="directory for per-node trace CSVs")),
+    ("--ratios", "sweep", dict(type=_csv_floats, required=True)),
+    ("--jobs", "sweep", dict(type=int, default=1)),
+    ("--variants", "ablate", dict(help="comma-separated paper-style variant names")),
+]
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="maginet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"maginet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def shared(p: argparse.ArgumentParser):
-        p.add_argument("--series", help="series CSV path")
-        p.add_argument("--adj", help="adjacency edge-list CSV path")
-        p.add_argument("--mask", help="eval mask CSV path")
-        p.add_argument("--ratio", type=float, help="missing ratio in [0,1]")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--width", type=int, help="window width")
-        p.add_argument("--stride", type=int, help="window stride (default: width)")
-
-    def optimizer(p: argparse.ArgumentParser):
-        p.add_argument("--lr", dest="learning_rate", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--hide-fraction", dest="hide_fraction", type=float,
-                       help="share of observed entries hidden and supervised per training "
-                            "window, in [0, 1) (default 0: off)")
-
-    p = sub.add_parser("generate", help="write a synthetic series and adjacency")
-    shared(p)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--period", type=int)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--offset", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--extra-edges", dest="extra_edges", type=int)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("mask", help="draw and persist an MCAR eval mask")
-    shared(p)
-    p.set_defaults(func=cmd_mask)
-
-    p = sub.add_parser("train", help="train the imputation model")
-    shared(p)
-    optimizer(p)
-    p.add_argument("--grad-clip", dest="grad_clip", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--head-dim", dest="head_dim", type=int)
-    p.add_argument("--spatial-dim", dest="spatial_dim", type=int)
-    p.add_argument("--cheb-order", dest="cheb_order", type=int)
-    p.add_argument("--kernels", dest="kernel_sizes", type=_csv_ints)
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--spatial-kernel", dest="spatial_kernel", type=int)
-    p.add_argument("--mask-mode", dest="mask_mode", choices=["neg_inf", "multiply"])
-    p.add_argument("--ablate", dest="ablations", type=_csv_names,
-                   help="comma-separated ablation toggles")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("impute", help="fill missing entries with a trained model")
-    shared(p)
-    p.add_argument("--checkpoint", help="checkpoint JSON path")
-    p.set_defaults(func=cmd_impute)
-
-    p = sub.add_parser("eval", help="score methods on held-out positions")
-    shared(p)
-    p.add_argument("--checkpoint", help="checkpoint JSON path (for method maginet)")
-    p.add_argument("--methods", default="mean,knn")
-    p.add_argument("--split", choices=["test", "all"], default="test")
-    p.add_argument("--knn-k", dest="knn_k", type=int)
-    p.add_argument("--traces", help="directory for per-node trace CSVs")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="missing-ratio sensitivity sweep")
-    shared(p)
-    p.add_argument("--ratios", type=_csv_floats, required=True)
-    p.add_argument("--methods", default="mean,knn")
-    p.add_argument("--knn-k", dest="knn_k", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    optimizer(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("ablate", help="train ablation variants on one mask")
-    shared(p)
-    p.add_argument("--variants", help="comma-separated paper-style variant names")
-    optimizer(p)
-    p.set_defaults(func=cmd_ablate)
-
+    for command, (func, text) in _COMMANDS.items():
+        # no abbreviations: sweep's --ratios would take the --ratio it does not read
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        for flag, commands, keywords in _FLAGS:
+            if command in commands.split():
+                p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 

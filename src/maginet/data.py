@@ -313,6 +313,8 @@ def generate_synthetic(n_nodes: int, n_steps: int, graph: TrafficGraph, seed: in
     """
     if graph.n_nodes != n_nodes:
         raise ContractError(f"graph has {graph.n_nodes} nodes, expected {n_nodes}")
+    if period < 1:
+        raise ContractError(f"period must be >= 1, got {period}")
     rng = np.random.default_rng(seed)
     if phases is None:
         phases = rng.uniform(0.0, 2.0 * np.pi, n_nodes)
@@ -333,12 +335,12 @@ def generate_synthetic(n_nodes: int, n_steps: int, graph: TrafficGraph, seed: in
 
 
 def write_rows(path, rows: list[list], comment: str | None = None) -> None:
-    """A CSV of ``str`` of each cell, after a ``# comment`` line when one is given."""
+    """A CSV of ``str`` of each cell, quoted where it needs to be, after a
+    ``# comment`` line when one is given."""
     with open(path, "w", newline="") as handle:
         if comment:
             handle.write(f"# {comment}\n")
-        for row in rows:
-            handle.write(",".join(str(cell) for cell in row) + "\n")
+        csv.writer(handle, lineterminator="\n").writerows([str(cell) for cell in row] for row in rows)
 
 
 def save_series_csv(path, series: SeriesMatrix, comment: str | None = None) -> None:
@@ -357,8 +359,8 @@ def save_series_csv(path, series: SeriesMatrix, comment: str | None = None) -> N
             handle.write(",".join(map(repr, step.ravel().tolist())).replace("nan", "") + "\n")
 
 
-def _read_csv(path, kind: str) -> tuple[list[str], list[str], list[str]]:
-    """A CSV's leading ``#`` comment lines, its header's cells and the lines after the header."""
+def _read_csv(path, kind: str) -> tuple[list[str], list[str]]:
+    """A CSV's header's cells, after any leading ``#`` comment lines, and the lines after it."""
     try:
         # universal newlines end lines where csv.reader ends rows
         with open(path, encoding="utf-8") as handle:
@@ -368,7 +370,7 @@ def _read_csv(path, kind: str) -> tuple[list[str], list[str], list[str]]:
     start = next((i for i, line in enumerate(lines) if line and not line.startswith("#")), None)
     if start is None:
         raise InputError(f"{path}: empty {kind} file")
-    return [line for line in lines[:start] if line], next(csv.reader([lines[start]])), lines[start + 1:]
+    return next(csv.reader([lines[start]])), lines[start + 1:]
 
 
 # in ",line," a comma starts every cell and another ends it
@@ -444,7 +446,7 @@ def load_series_csv(path) -> SeriesMatrix:
 
     The values come from one np.loadtxt call; when it rejects the file, the
     error names the first bad row, and for a bad cell its column and text."""
-    _, header, lines = _read_csv(path, "series")
+    header, lines = _read_csv(path, "series")
     columns, n, c = _series_columns(path, header)
     cells = _cells(lines, len(columns), float)
     if cells is None:
@@ -458,7 +460,9 @@ def load_series_csv(path) -> SeriesMatrix:
 
 
 def save_mask_csv(path, mask: np.ndarray, seed: int, ratio: float, comment: str | None = None) -> None:
-    """Persist an eval mask (nodes x steps), one row per step like the series."""
+    """Persist an eval mask (nodes x steps), one row per step like the series,
+    after a comment line naming the ``seed`` and ``ratio`` it was drawn with
+    for a reader (``load_mask_csv`` skips it)."""
     mask = np.asarray(mask)
     n, _ = mask.shape
     with open(path, "w", newline="") as handle:
@@ -470,24 +474,15 @@ def save_mask_csv(path, mask: np.ndarray, seed: int, ratio: float, comment: str 
             handle.write(",".join(map(str, map(int, row.tolist()))) + "\n")
 
 
-def _mask_provenance(comments: list[str]) -> tuple[int | None, float | None]:
-    seed = ratio = None
-    for line in comments:
-        m = re.search(r"seed=(-?\d+)\s+ratio=([-+0-9.eE]+)", line)
-        if m:
-            seed, ratio = int(m.group(1)), float(m.group(2))
-    return seed, ratio
-
-
-def load_mask_csv(path) -> tuple[np.ndarray, int | None, float | None]:
-    """Read ``save_mask_csv``'s format: the (nodes, steps) int8 mask, seed, ratio.
+def load_mask_csv(path) -> np.ndarray:
+    """Read ``save_mask_csv``'s format: the (nodes, steps) int8 mask.
 
     The cells come from one np.loadtxt call, as ints checked for 0/1
     before narrowing. When that fails, the error names the first bad row.
     """
-    comments, header, lines = _read_csv(path, "mask")
+    header, lines = _read_csv(path, "mask")
     cells = _cells(lines, len(header), int)
     if cells is None:
         number, _ = _first_bad_row(path, lines, len(header), int)
         raise InputError(f"{path}: row {number}: mask cells must be 0/1")
-    return cells.astype(np.int8).T, *_mask_provenance(comments)
+    return cells.astype(np.int8).T

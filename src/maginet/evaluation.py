@@ -154,6 +154,14 @@ def knn_baseline(window: IncompleteWindow, k: int) -> np.ndarray:
 
 
 BASELINES = ("mean", "knn")
+METHODS = (*BASELINES, "maginet")
+
+
+def check_methods(methods: list[str]) -> None:
+    """Reject the first name in ``methods`` that is not one of ``METHODS``."""
+    unknown = [method for method in methods if method not in METHODS]
+    if unknown:
+        raise InputError(f"unknown method {unknown[0]!r}")
 
 
 def baseline_predictions(method: str, windows: list[IncompleteWindow],
@@ -252,12 +260,10 @@ def run_sweep_cell(series: SeriesMatrix, graph: TrafficGraph, ratio: float, meth
     if not splits[2]:
         raise InputError("no windows in the test split")
     start = time.perf_counter()
-    if method in BASELINES:
-        cell_rmse, cell_mape = evaluate_baseline(method, splits[2], knn_k)
-    elif method == "maginet":
+    if method == "maginet":
         cell_rmse, cell_mape = train_and_score(model_config, train_config, graph, splits, seed)
     else:
-        raise InputError(f"unknown method {method!r}")
+        cell_rmse, cell_mape = evaluate_baseline(method, splits[2], knn_k)
     runtime = time.perf_counter() - start
     return ReportRow(method=method, dataset=dataset, ratio=ratio, seed=cell_seed,
                      rmse=cell_rmse, mape=cell_mape, runtime_s=runtime)
@@ -270,6 +276,7 @@ def sensitivity_sweep(series: SeriesMatrix, graph: TrafficGraph, ratios: list[fl
     With ``jobs`` > 1 the cells run in that many worker processes; each
     cell draws from its own seed, so the rows are the same either way.
     """
+    check_methods(methods)
     for ratio in ratios:
         if not 0.0 < ratio < 1.0:
             raise ContractError(f"sweep ratios must lie in (0, 1), got {ratio}")

@@ -151,7 +151,7 @@ def save_adjacency(path, graph: TrafficGraph, comment: str | None = None) -> Non
     with open(path, "w", newline="") as handle:
         if comment:
             handle.write(f"# {comment}\n")
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["src", "dst", "weight"])
         adj = graph.adjacency
         for i in range(graph.n_nodes):

@@ -534,19 +534,20 @@ def load_checkpoint(path, graph: TrafficGraph) -> MagiNet:
     body = "\n".join(line for line in lines if not line.startswith("#"))
     try:
         payload = json.loads(body)
-    except json.JSONDecodeError as err:
-        raise InputError(f"{path}: not a valid checkpoint: {err}") from None
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise InputError(f"{path}: unsupported checkpoint version {payload.get('format_version')}")
-    config = ModelConfig.from_dict(payload["config"])
-    normalizer = None
-    if payload.get("normalizer"):
-        normalizer = Normalizer(mean=np.array(payload["normalizer"]["mean"]),
-                                std=np.array(payload["normalizer"]["std"]))
-    model = MagiNet(config, graph, width=int(payload["width"]), n_features=int(payload["n_features"]),
-                    seed=int(payload["seed"]), normalizer=normalizer)
-    state = {}
-    for name, entry in payload["params"].items():
-        state[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        if payload.get("format_version") != CHECKPOINT_VERSION:
+            raise InputError(f"{path}: unsupported checkpoint version {payload.get('format_version')}")
+        config = ModelConfig.from_dict(payload["config"])
+        normalizer = None
+        if payload.get("normalizer"):
+            normalizer = Normalizer(mean=np.array(payload["normalizer"]["mean"]),
+                                    std=np.array(payload["normalizer"]["std"]))
+        geometry = {key: int(payload[key]) for key in ("width", "n_features", "seed")}
+        state = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+                 for name, entry in payload["params"].items()}
+    # a wrong JSON type or value, or a missing key (json.JSONDecodeError is a ValueError)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        reason = f"no key {err}" if isinstance(err, KeyError) else str(err)
+        raise InputError(f"{path}: not a valid checkpoint: {reason}") from None
+    model = MagiNet(config, graph, normalizer=normalizer, **geometry)
     model.params.load_state(state)
     return model

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pickle
@@ -11,7 +12,7 @@ from maginet import cli, data, evaluation, training
 from maginet.errors import InputError
 from maginet.evaluation import rmse as rmse_metric
 from maginet.graph import TrafficGraph, load_adjacency
-from maginet.model import MagiNet, load_checkpoint
+from maginet.model import MagiNet, ModelConfig, load_checkpoint, save_checkpoint
 from maginet.training import evaluate_model
 
 
@@ -50,6 +51,16 @@ def test_generate_is_byte_deterministic(tmp_path):
 
 def test_generate_single_node_is_usage_error(tmp_path):
     assert run(["generate", "--nodes", "1", "--steps", "96", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("period", ["0", "-24"])
+def test_generate_period_below_one_is_usage_error_before_any_file_is_written(tmp_path, capsys,
+                                                                              period):
+    out = tmp_path / "o"
+    assert run(["generate", "--nodes", "4", "--steps", "24", "--period", period,
+                "--out", str(out)]) == 1
+    assert f"usage error: --period must be >= 1, got {period}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_summary_mentions_std(tmp_path, capsys):
@@ -128,10 +139,10 @@ def test_mask_roundtrips_and_is_deterministic(tmp_path):
     m_dir = tmp_path / "m"
     assert run(["mask", "--series", str(series), "--ratio", "0.5", "--seed", "3",
                 "--out", str(m_dir)]) == 0
-    mask, seed, ratio = data.load_mask_csv(m_dir / "mask.csv")
-    assert seed == 3 and ratio == 0.5
     loaded = data.load_series_csv(series)
-    assert mask.sum() == int(np.floor(0.5 * loaded.observed().sum()))
+    assert np.array_equal(data.load_mask_csv(m_dir / "mask.csv"),
+                          data.draw_eval_mask(loaded, 0.5, 3))
+    assert (m_dir / "mask.csv").read_text().splitlines()[1] == "# seed=3 ratio=0.5"
 
 
 # ---------------------------------------------------------------- train
@@ -232,8 +243,7 @@ def test_impute_fills_masked_positions(tmp_path):
                 "--checkpoint", str(out / "checkpoint.json"), "--out", str(imp_dir)]) == 0
     raw = data.load_series_csv(series)
     filled = data.load_series_csv(imp_dir / "imputed.csv")
-    mask, _, _ = data.load_mask_csv(out / "mask.csv")
-    hidden = mask == 1
+    hidden = data.load_mask_csv(out / "mask.csv") == 1
     assert not np.array_equal(filled.values[hidden], raw.values[hidden])
     assert np.array_equal(filled.values[~hidden], raw.values[~hidden])
 
@@ -361,6 +371,33 @@ def test_eval_writes_traces(tmp_path):
     assert lines[1] == "t,ground_truth,imputed,observed"
 
 
+def test_eval_reads_a_mask_whose_seed_ratio_line_does_not_parse(tmp_path):
+    # the seed and ratio line is written for a reader; nothing reads it back
+    series_path = tmp_path / "s.csv"
+    series_path.write_text("node0_f0,node1_f0\n2.0,1.0\n4.0,1.0\n")
+    adj_path = tmp_path / "a.csv"
+    adj_path.write_text("src,dst,weight\n0,1,1.0\n")
+    mask_path = tmp_path / "m.csv"
+    mask_path.write_text("# seed=1 ratio=1e\nnode0,node1\n0,0\n1,0\n")
+    assert np.array_equal(data.load_mask_csv(mask_path), [[0, 1], [0, 0]])
+    assert run(["eval", "--series", str(series_path), "--adj", str(adj_path),
+                "--mask", str(mask_path), "--methods", "mean", "--split", "all",
+                "--width", "2", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_eval_report_quotes_a_dataset_tag_holding_a_comma(tmp_path):
+    series, adj = generate_tiny(tmp_path, steps=240)
+    odd = tmp_path / "a,b.csv"
+    odd.write_bytes(series.read_bytes())
+    out = tmp_path / "o"
+    assert run(["eval", "--series", str(odd), "--adj", str(adj), "--methods", "mean,knn",
+                "--out", str(out)]) == 0
+    with open(out / "report.csv", newline="") as handle:
+        rows = list(csv.reader(line for line in handle if not line.startswith("#")))
+    assert rows[0] == evaluation.REPORT_COLUMNS
+    assert [len(row) for row in rows] == [7, 7, 7] and rows[1][1] == rows[2][1] == "a,b"
+
+
 @pytest.mark.parametrize("cell", ["2", "300"])
 def test_eval_out_of_range_mask_cell_exits_2_naming_its_row(tmp_path, capsys, cell):
     series_path = tmp_path / "s.csv"
@@ -425,7 +462,7 @@ def test_eval_maginet_rmse_equals_train_test_rmse(tmp_path):
     row = (tmp_path / "o" / "report.csv").read_text().splitlines()[2].split(",")
     cfg = cli.RunConfig(width=12)
     loaded = data.load_series_csv(series)
-    mask, _, _ = data.load_mask_csv(out / "mask.csv")
+    mask = data.load_mask_csv(out / "mask.csv")
     windows = data.make_windows(loaded, mask, cfg.width, cfg.effective_stride)
     model = load_checkpoint(out / "checkpoint.json", load_adjacency(adj, loaded.n_nodes))
     test_rmse, _ = evaluate_model(model, data.split(windows, cfg.fractions)[2])
@@ -488,6 +525,19 @@ def test_sweep_with_empty_test_split_names_it(tmp_path, capsys):
     assert "no windows in the test split" in capsys.readouterr().err
 
 
+def test_sweep_unknown_method_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    series, adj = generate_tiny(tmp_path, steps=240)
+    trained = []
+    monkeypatch.setattr(evaluation, "train_and_score",
+                        lambda *a, **kw: trained.append(a) or (1.0, 1.0))
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--series", str(series), "--adj", str(adj), "--ratios", "0.5",
+                "--methods", "maginet,bogus", "--config", str(_fast_config(tmp_path)),
+                "--out", str(out)]) == 2
+    assert "input error: unknown method 'bogus'" in capsys.readouterr().err
+    assert trained == [] and not out.exists()
+
+
 def test_ablate_writes_variant_rows(tmp_path):
     series, adj = generate_tiny(tmp_path, steps=240)
     out = tmp_path / "abl"
@@ -534,6 +584,47 @@ def test_empty_list_is_usage_error_before_any_file_is_written(tmp_path, capsys, 
     assert run(argv[:1] + flags + [arg.format(tmp=tmp_path) for arg in argv[1:]]) == code
     assert message in capsys.readouterr().err
     assert not out.exists() and not traces.exists()
+
+
+# each command's runnable argv, and a value for each flag it does not read
+COMMAND_ARGV = {
+    "generate": ["generate", "--nodes", "6", "--steps", "96", "--period", "24"],
+    "mask": ["mask", "--series", "{series}"],
+    "impute": ["impute", "--series", "{series}", "--adj", "{adj}", "--checkpoint", "{checkpoint}"],
+    "sweep": ["sweep", "--series", "{series}", "--adj", "{adj}", "--ratios", "0.5",
+              "--methods", "mean"],
+    "ablate": ["ablate", "--series", "{series}", "--adj", "{adj}", "--config", "{config}",
+               "--epochs", "1"],
+}
+UNREAD = {"--series": "{tmp}/other.csv", "--adj": "{adj}", "--mask": "{mask}",
+          "--config": "{config}", "--seed": "9", "--ratio": "0.9", "--width": "6", "--stride": "3"}
+UNREAD_FLAGS = [("generate", "--series"), ("generate", "--adj"), ("generate", "--mask"),
+                ("generate", "--ratio"), ("generate", "--stride"),
+                ("mask", "--adj"), ("mask", "--mask"), ("mask", "--width"), ("mask", "--stride"),
+                ("impute", "--config"), ("impute", "--seed"), ("impute", "--ratio"),
+                ("impute", "--width"), ("impute", "--stride"),
+                ("sweep", "--mask"), ("sweep", "--ratio"),
+                ("ablate", "--mask")]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag in UNREAD_FLAGS])
+def test_flag_a_command_does_not_read_is_usage_error_before_any_file_is_written(
+        tmp_path, capsys, command, flag):
+    series, adj = generate_tiny(tmp_path, steps=240)
+    data.save_mask_csv(tmp_path / "mask.csv",
+                       data.draw_eval_mask(data.load_series_csv(series), 0.5, 1), seed=1, ratio=0.5)
+    model = MagiNet(ModelConfig(d=4, heads=2, head_dim=2, spatial_dim=3, cheb_order=2,
+                                kernel_sizes=(3,), blocks=1),
+                    load_adjacency(adj, 6), width=12, n_features=1, seed=1)
+    save_checkpoint(tmp_path / "checkpoint.json", model)
+    paths = dict(tmp=tmp_path, series=series, adj=adj, mask=tmp_path / "mask.csv",
+                 config=_fast_config(tmp_path), checkpoint=tmp_path / "checkpoint.json")
+    out = tmp_path / "o"
+    argv = COMMAND_ARGV[command] + [flag, UNREAD[flag], "--out", str(out)]
+    assert run([arg.format(**paths) for arg in argv]) == 1
+    assert f"usage error: unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -612,8 +703,8 @@ def test_flags_override_config(tmp_path):
     m_dir = tmp_path / "m"
     assert run(["mask", "--series", str(series), "--config", str(cfg_path),
                 "--ratio", "0.6", "--seed", "1", "--out", str(m_dir)]) == 0
-    _, _, ratio = data.load_mask_csv(m_dir / "mask.csv")
-    assert ratio == 0.6
+    observed = data.load_series_csv(series).observed().sum()
+    assert data.load_mask_csv(m_dir / "mask.csv").sum() == int(np.floor(0.6 * observed))
 
 
 def test_everything_needed_for_process_pools_pickles():

@@ -183,6 +183,13 @@ def test_synthetic_seed_determinism():
     assert (a.values > 0).all()
 
 
+@pytest.mark.parametrize("period", [0, -24])
+def test_synthetic_period_below_one_rejected(period):
+    g = data.synthetic_graph(4, seed=0)
+    with pytest.raises(ContractError, match=f"period must be >= 1, got {period}"):
+        data.generate_synthetic(4, 24, g, seed=0, period=period)
+
+
 def test_synthetic_graph_is_connected_ring():
     g = data.synthetic_graph(5, extra_edges=0, seed=0)
     assert g.degree.min() >= 2
@@ -262,9 +269,8 @@ def test_mask_roundtrip(tmp_path):
     mask = data.draw_eval_mask(series, 0.5, 21)
     path = tmp_path / "mask.csv"
     data.save_mask_csv(path, mask, seed=21, ratio=0.5)
-    loaded, seed, ratio = data.load_mask_csv(path)
-    assert np.array_equal(loaded, mask)
-    assert seed == 21 and ratio == 0.5
+    assert np.array_equal(data.load_mask_csv(path), mask)
+    assert path.read_text().splitlines()[0] == "# seed=21 ratio=0.5"
 
 
 @pytest.mark.parametrize("dtype", [bool, np.int8, float])
@@ -281,19 +287,17 @@ def test_mask_csv_bytes_match_the_cell_by_cell_format(tmp_path, dtype):
 
 
 def csv_rows(path):
-    comments, rows = [], []
+    rows = []
     with open(path, newline="") as handle:
         for raw in csv.reader(handle):
-            if not rows and raw and raw[0].startswith("#"):
-                comments.append(",".join(raw))
-            elif raw:
+            if raw and (rows or not raw[0].startswith("#")):
                 rows.append(raw)
-    return comments, rows
+    return rows
 
 
 def series_by_cell(path):
     # the series reader one cell at a time: the reference for load_series_csv
-    _, rows = csv_rows(path)
+    rows = csv_rows(path)
     if not rows:
         raise InputError(f"{path}: empty series file")
     header = [c.strip() for c in rows[0]]
@@ -326,12 +330,7 @@ def series_by_cell(path):
 def mask_by_cell(path):
     # the mask reader one cell at a time: the reference for load_mask_csv; a
     # cell outside 0/1 names its row (300 once overflowed int8 instead)
-    comments, rows = csv_rows(path)
-    seed = ratio = None
-    for line in comments:
-        m = re.search(r"seed=(-?\d+)\s+ratio=([-+0-9.eE]+)", line)
-        if m:
-            seed, ratio = int(m.group(1)), float(m.group(2))
+    rows = csv_rows(path)
     if not rows:
         raise InputError(f"{path}: empty mask file")
     cells = []
@@ -345,7 +344,7 @@ def mask_by_cell(path):
         if ints is None or not {0, 1}.issuperset(ints):
             raise InputError(f"{path}: row {t + 2}: mask cells must be 0/1")
         cells.append(ints)
-    return np.array(cells, dtype=np.int8).reshape(-1, len(rows[0])).T, seed, ratio
+    return np.array(cells, dtype=np.int8).reshape(-1, len(rows[0])).T
 
 
 def outcome(read, path):
@@ -451,8 +450,8 @@ def test_mask_reader_matches_the_cell_loop_on_fuzzed_files(tmp_path):
         else:
             seen["values"] += 1
             assert not isinstance(got, str), (got, path.read_bytes())
-            assert got[0].dtype == np.int8 and got[0].shape == want[0].shape, path.read_bytes()
-            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:], path.read_bytes()
+            assert got.dtype == np.int8 and got.shape == want.shape, path.read_bytes()
+            assert got.tobytes() == want.tobytes(), path.read_bytes()
     assert min(seen.values()) >= 30, seen
 
 
@@ -466,7 +465,7 @@ def test_mask_out_of_range_cell_names_its_row(tmp_path):
 def test_mask_with_only_a_header_loads_as_nodes_by_zero_steps(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("node0,node1\n")
-    mask, _, _ = data.load_mask_csv(path)
+    mask = data.load_mask_csv(path)
     assert mask.shape == (2, 0) and mask.dtype == np.int8
     series_path = tmp_path / "s.csv"
     series_path.write_text("node0_f0,node1_f0\n")

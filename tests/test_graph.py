@@ -244,6 +244,13 @@ def test_adjacency_roundtrip(tmp_path):
     assert np.array_equal(loaded.adjacency, g.adjacency)
 
 
+def test_adjacency_file_ends_every_line_with_a_newline_alone(tmp_path):
+    p = tmp_path / "adj.csv"
+    save_adjacency(p, path_graph(), comment="test")
+    text = p.read_bytes()
+    assert b"\r" not in text and text.startswith(b"# test\nsrc,dst,weight\n")
+
+
 def test_basis_is_read_only():
     basis = build_basis(path_graph(), 3)
     assert isinstance(basis, ChebyshevBasis)

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -475,6 +477,34 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     with pytest.raises(InputError) as err:
         other.params.load_state(mm.load_checkpoint(path, model.graph).params.state())
     assert "encoder.missing_embed" in str(err.value)
+
+
+def _with_first_param(payload, **entry):
+    name, first = next(iter(payload["params"].items()))
+    return {**payload, "params": {**payload["params"], name: {**first, **entry}}}
+
+
+# each returns the JSON a spoiled checkpoint holds in place of the saved payload
+@pytest.mark.parametrize("spoil", [
+    lambda payload: {**payload, "config": {**payload["config"], "heads": "3"}},
+    lambda payload: {k: v for k, v in payload.items() if k != "config"},
+    lambda payload: {k: v for k, v in payload.items() if k != "params"},
+    lambda payload: {**payload, "normalizer": {"mean": payload["normalizer"]["mean"]}},
+    lambda payload: {**payload, "width": "x"},
+    lambda payload: _with_first_param(payload, shape=[10 ** 6]),
+    lambda payload: _with_first_param(payload, data=["x"]),
+    lambda payload: [payload],
+], ids=["heads-a-string", "no-config", "no-params", "no-normalizer-std", "width-not-a-number",
+        "shape-not-fitting-data", "data-not-a-number", "a-list"])
+def test_malformed_checkpoint_is_an_input_error_naming_the_file(tmp_path, spoil):
+    model = make_model(seed=9)
+    model.normalizer = data.Normalizer(mean=np.zeros(1), std=np.ones(1))
+    path = tmp_path / "ckpt.json"
+    mm.save_checkpoint(path, model, comment="unit test")
+    comment, body = path.read_text().split("\n", 1)
+    path.write_text(comment + "\n" + json.dumps(spoil(json.loads(body))))
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: not a valid checkpoint: "):
+        mm.load_checkpoint(path, model.graph)
 
 
 # ---------------------------------------------------------------- batched forward
