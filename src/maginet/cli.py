@@ -4,12 +4,12 @@ Each command takes only the flags it reads; any other flag is a usage
 error. Settings come from an optional JSON file (--config) with flag
 overrides on top; flags always win, and the file may hold keys a command
 ignores. Every command is deterministic given its flags and writes its
-files into --out (eval's traces into --traces). Each output file starts
-with a comment line naming the run by content: the tool version, the
-subcommand, the non-path flags other than ``sweep --jobs`` (a worker
-count changes no value), a sha256 of each input file, and the seed of a
-command that reads one. No path is recorded, so the same inputs and
-flags give the same bytes in any directory.
+files into --out (eval's traces into --traces); sweep and ablate run
+their rows on one process per usable CPU. Each output file starts with a
+comment line naming the run by content: the tool version, the
+subcommand, the non-path flags, a sha256 of each input file, and the
+seed a command draws from. No path or CPU count is recorded, so the
+same inputs and flags give the same bytes in any directory.
 
 Exit codes: 0 success, 1 usage, 2 input error, 3 numeric failure.
 """
@@ -164,8 +164,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 _INPUT_FILES = ("series", "adj", "mask", "checkpoint", "config")
-# paths, the subcommand, the seed (recorded last, as the effective value), the worker count
-_NOT_FLAGS = set(_INPUT_FILES) | {"out", "traces", "command", "func", "seed", "jobs"}
+# paths, the subcommand, and the seed (recorded last, as the effective value)
+_NOT_FLAGS = set(_INPUT_FILES) | {"out", "traces", "command", "func", "seed"}
 
 
 def _sha256(path: Path) -> str:
@@ -367,6 +367,9 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(_require(args.checkpoint, "checkpoint"), graph) if "maginet" in methods else None
     mask = _load_or_draw_mask(args, cfg, series)
     windows = data.make_windows(series, mask, cfg.width, cfg.effective_stride)
+    # a mask read from --mask is labelled by the share of observed entries it hides, and no seed
+    ratio, seed = ((int(mask.sum()) / max(1, int(series.observed().sum())), None) if args.mask
+                   else (cfg.ratio, cfg.seed))
     chosen = windows if args.split == "all" else data.split(windows, cfg.fractions)[2]
     if not chosen:
         raise InputError("no windows in the selected split")
@@ -379,12 +382,12 @@ def cmd_eval(args) -> int:
                  else evaluation.baseline_predictions(method, chosen, cfg.knn_k))
         m_rmse, m_mape = evaluation.pooled_metrics(preds, chosen)
         report.rows.append(evaluation.ReportRow(
-            method=method, dataset=tag, ratio=cfg.ratio, seed=cfg.seed,
+            method=method, dataset=tag, ratio=ratio, seed=seed,
             rmse=m_rmse, mape=m_mape, runtime_s=time.perf_counter() - start))
         predictions.append(preds)
         print(f"{method}: RMSE {m_rmse:.6f}, MAPE {m_mape:.4f}%")
     out = _out_dir(args)
-    note = _provenance(args, cfg.seed)
+    note = _provenance(args, seed)
     if args.traces:
         trace_dir = Path(args.traces)
         trace_dir.mkdir(parents=True, exist_ok=True)
@@ -403,12 +406,10 @@ def cmd_sweep(args) -> int:
     for ratio in _listed(args.ratios, "--ratios"):
         if not 0.0 < ratio < 1.0:
             raise UsageError(f"--ratios entries must lie in (0, 1), got {ratio}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args)
     series, graph = _load_series_graph(args)
     report = evaluation.sensitivity_sweep(
-        series, graph, list(args.ratios), methods, cfg.seed, jobs=args.jobs,
+        series, graph, list(args.ratios), methods, cfg.seed,
         width=cfg.width, stride=cfg.effective_stride, fractions=cfg.fractions,
         model_config=cfg.model_config(), train_config=cfg.train_config(), knn_k=cfg.knn_k,
         dataset=_dataset_tag(args))
@@ -493,7 +494,6 @@ _FLAGS = [
     ("--split", "eval", dict(choices=["test", "all"], default="test")),
     ("--traces", "eval", dict(help="directory for per-node trace CSVs")),
     ("--ratios", "sweep", dict(type=_csv_floats, required=True)),
-    ("--jobs", "sweep", dict(type=int, default=1)),
     ("--variants", "ablate", dict(help="comma-separated paper-style variant names")),
 ]
 

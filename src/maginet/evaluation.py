@@ -111,6 +111,13 @@ def node_distances(window: IncompleteWindow) -> np.ndarray:
     return dist
 
 
+def check_knn_k(k: int, n_nodes: int) -> None:
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
+    if k >= n_nodes:
+        raise ContractError(f"k must be below the node count ({n_nodes}), got {k}")
+
+
 def knn_baseline(window: IncompleteWindow, k: int) -> np.ndarray:
     """Fill hidden entries from the k nearest nodes observed at that step.
 
@@ -124,11 +131,7 @@ def knn_baseline(window: IncompleteWindow, k: int) -> np.ndarray:
     entry with no such neighbour takes ``mean_baseline``'s value, built
     only when some entry needs it.
     """
-    n = window.n_nodes
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
-    if k >= n:
-        raise ContractError(f"k must be below the node count ({n}), got {k}")
+    check_knn_k(k, window.n_nodes)
     dist = node_distances(window)
     order = np.argsort(dist, axis=1, kind="stable")
     reachable = np.isfinite(np.take_along_axis(dist, order, axis=1))
@@ -185,14 +188,15 @@ class ReportRow:
     method: str
     dataset: str
     ratio: float
-    seed: int
+    seed: int | None   # None: no seed drew the mask
     rmse: float
     mape: float
     runtime_s: float
 
     def as_list(self) -> list:
-        return [self.method, self.dataset, repr(float(self.ratio)), self.seed,
-                repr(float(self.rmse)), repr(float(self.mape)), repr(float(self.runtime_s))]
+        return [self.method, self.dataset, repr(float(self.ratio)),
+                "" if self.seed is None else self.seed, repr(float(self.rmse)),
+                repr(float(self.mape)), repr(float(self.runtime_s))]
 
 
 @dataclass
@@ -237,57 +241,69 @@ def train_and_score(model_config: ModelConfig, train_config, graph: TrafficGraph
     from .training import evaluate_model, train_model  # deferred: training imports our metrics
 
     train_ws, valid_ws, test_ws = splits
-    width = train_ws[0].width
-    n_features = train_ws[0].n_features
-    model = MagiNet(model_config, graph, width=width, n_features=n_features, seed=seed)
+    model = MagiNet(model_config, graph, width=train_ws[0].width,
+                    n_features=train_ws[0].n_features, seed=seed)
     train_model(model, train_ws, valid_ws, train_config)
     return evaluate_model(model, test_ws)
 
 
-def _ratio_seed(seed: int, ratio: float) -> int:
-    return (seed ^ (hash(float(ratio)) & 0x7FFFFFFFFFFFFFFF)) & 0x7FFFFFFFFFFFFFFF
+@dataclass(frozen=True)
+class Cell:
+    """A sweep or ablation row to make: a baseline's name or a model config."""
+    label: str
+    method: str | ModelConfig
+    ratio: float
+    mask_seed: int
 
 
-def run_sweep_cell(series: SeriesMatrix, graph: TrafficGraph, ratio: float, method: str,
-                   seed: int, *, width: int, stride: int, fractions: tuple[float, float, float],
-                   model_config: ModelConfig, train_config, knn_k: int = 3,
-                   dataset: str = "synthetic") -> ReportRow:
-    """One (ratio, method) cell: fresh mask, split, evaluate on test windows."""
-    cell_seed = _ratio_seed(seed, ratio)
-    mask = draw_eval_mask(series, ratio, cell_seed)
-    windows = make_windows(series, mask, width, stride)
-    splits = split(windows, fractions)
+def run_cell(cell: Cell, series: SeriesMatrix, graph: TrafficGraph, seed: int, *, width: int,
+             stride: int, fractions: tuple[float, float, float], train_config, knn_k: int = 3,
+             dataset: str = "synthetic") -> ReportRow:
+    """Draw the cell's mask, window and split the series, and score the method
+    on the test split (a model trains from ``seed``); only the scoring is timed."""
+    mask = draw_eval_mask(series, cell.ratio, cell.mask_seed)
+    splits = split(make_windows(series, mask, width, stride), fractions)
     if not splits[2]:
         raise InputError("no windows in the test split")
     start = time.perf_counter()
-    if method == "maginet":
-        cell_rmse, cell_mape = train_and_score(model_config, train_config, graph, splits, seed)
+    if isinstance(cell.method, ModelConfig):
+        cell_rmse, cell_mape = train_and_score(cell.method, train_config, graph, splits, seed)
     else:
-        cell_rmse, cell_mape = evaluate_baseline(method, splits[2], knn_k)
-    runtime = time.perf_counter() - start
-    return ReportRow(method=method, dataset=dataset, ratio=ratio, seed=cell_seed,
-                     rmse=cell_rmse, mape=cell_mape, runtime_s=runtime)
+        cell_rmse, cell_mape = evaluate_baseline(cell.method, splits[2], knn_k)
+    return ReportRow(method=cell.label, dataset=dataset, ratio=cell.ratio, seed=cell.mask_seed,
+                     rmse=cell_rmse, mape=cell_mape, runtime_s=time.perf_counter() - start)
+
+
+def _run_cells(cells: list[Cell], **context) -> EvalReport:
+    """``run_cell`` of each cell in order: on one process per usable CPU, at most
+    one per cell, when that makes two or more, else in this one. Each cell draws
+    from its own seeds, so the rows are the same for any CPU count."""
+    from .training import usable_cpus   # deferred: training imports our metrics
+    score = partial(run_cell, **context)
+    workers = min(usable_cpus(), len(cells))
+    if workers < 2:
+        return EvalReport(rows=list(map(score, cells)))
+    from concurrent.futures import ProcessPoolExecutor   # deferred: only a pool needs it
+    with ProcessPoolExecutor(workers) as pool:
+        return EvalReport(rows=list(pool.map(score, cells)))
 
 
 def sensitivity_sweep(series: SeriesMatrix, graph: TrafficGraph, ratios: list[float],
-                      methods: list[str], seed: int, jobs: int = 1, **cell_kwargs) -> EvalReport:
-    """Missing-ratio sweep: one report row per (ratio, method), ratio-major.
-
-    With ``jobs`` > 1 the cells run in that many worker processes; each
-    cell draws from its own seed, so the rows are the same either way.
-    """
+                      methods: list[str], seed: int, *, model_config: ModelConfig,
+                      knn_k: int = 3, **context) -> EvalReport:
+    """Missing-ratio sweep: one report row per (ratio, method), ratio-major,
+    each ratio's mask drawn from a seed made of ``seed`` and the ratio.
+    ``context`` holds ``run_cell``'s other keywords."""
     check_methods(methods)
+    if "knn" in methods:
+        check_knn_k(knn_k, series.n_nodes)
     for ratio in ratios:
         if not 0.0 < ratio < 1.0:
             raise ContractError(f"sweep ratios must lie in (0, 1), got {ratio}")
-    cell = partial(run_sweep_cell, series, graph, seed=seed, **cell_kwargs)
-    cell_ratios = [ratio for ratio in ratios for _ in methods]
-    cell_methods = list(methods) * len(ratios)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor   # deferred: only a pool needs it
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return EvalReport(rows=list(pool.map(cell, cell_ratios, cell_methods)))
-    return EvalReport(rows=list(map(cell, cell_ratios, cell_methods)))
+    cells = [Cell(method, model_config if method == "maginet" else method, ratio,
+                  (seed ^ hash(float(ratio))) & 0x7FFFFFFFFFFFFFFF)
+             for ratio in ratios for method in methods]
+    return _run_cells(cells, series=series, graph=graph, seed=seed, knn_k=knn_k, **context)
 
 
 def sweep_pivot(report: EvalReport) -> list[list]:
@@ -302,30 +318,13 @@ def sweep_pivot(report: EvalReport) -> list[list]:
 
 
 def ablation_run(series: SeriesMatrix, graph: TrafficGraph, variants: list[str], seed: int, *,
-                 ratio: float, width: int, stride: int, fractions: tuple[float, float, float],
-                 model_config: ModelConfig, train_config,
-                 dataset: str = "synthetic") -> EvalReport:
-    """Train the full model plus each named variant under identical masks/budget."""
-    toggles = []
-    for name in variants:
-        if name not in VARIANT_TOGGLES:
-            raise InputError(f"unknown ablation variant {name!r}; known: {sorted(VARIANT_TOGGLES)}")
-        toggles.append((name, VARIANT_TOGGLES[name]))
-    mask = draw_eval_mask(series, ratio, seed)
-    windows = make_windows(series, mask, width, stride)
-    splits = split(windows, fractions)
-    if not splits[2]:
-        raise InputError("no windows in the test split")
-    report = EvalReport()
-
-    def run(label: str, config: ModelConfig):
-        start = time.perf_counter()
-        row_rmse, row_mape = train_and_score(config, train_config, graph, splits, seed)
-        report.rows.append(ReportRow(method=label, dataset=dataset, ratio=ratio, seed=seed,
-                                     rmse=row_rmse, mape=row_mape,
-                                     runtime_s=time.perf_counter() - start))
-
-    run("MagiNet", model_config)
-    for label, toggle in toggles:
-        run(label, model_config.with_ablations(toggle))
-    return report
+                 ratio: float, model_config: ModelConfig, **context) -> EvalReport:
+    """Train the full model plus each named variant under one mask and budget;
+    ``context`` holds ``run_cell``'s other keywords."""
+    unknown = [name for name in variants if name not in VARIANT_TOGGLES]
+    if unknown:
+        raise InputError(f"unknown ablation variant {unknown[0]!r}; known: {sorted(VARIANT_TOGGLES)}")
+    cells = [Cell("MagiNet", model_config, ratio, seed)] + [
+        Cell(name, model_config.with_ablations(VARIANT_TOGGLES[name]), ratio, seed)
+        for name in variants]
+    return _run_cells(cells, series=series, graph=graph, seed=seed, **context)

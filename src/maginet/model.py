@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import IncompleteWindow, Normalizer, node_means
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, MagiNetError
 from .graph import ChebyshevBasis, TrafficGraph, build_basis
 
 CHECKPOINT_VERSION = 1
@@ -535,8 +535,7 @@ def load_checkpoint(path, graph: TrafficGraph) -> MagiNet:
     try:
         payload = json.loads(body)
         if payload.get("format_version") != CHECKPOINT_VERSION:
-            raise InputError(f"{path}: unsupported checkpoint version {payload.get('format_version')}")
-        config = ModelConfig.from_dict(payload["config"])
+            raise InputError(f"unsupported checkpoint version {payload.get('format_version')}")
         normalizer = None
         if payload.get("normalizer"):
             normalizer = Normalizer(mean=np.array(payload["normalizer"]["mean"]),
@@ -544,10 +543,11 @@ def load_checkpoint(path, graph: TrafficGraph) -> MagiNet:
         geometry = {key: int(payload[key]) for key in ("width", "n_features", "seed")}
         state = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
                  for name, entry in payload["params"].items()}
-    # a wrong JSON type or value, or a missing key (json.JSONDecodeError is a ValueError)
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        model = MagiNet(ModelConfig.from_dict(payload["config"]), graph, normalizer=normalizer,
+                        **geometry)
+        model.params.load_state(state)
+    # bad JSON (a ValueError), a wrong type or value, a missing key, or a model it does not fit
+    except (AttributeError, KeyError, TypeError, ValueError, MagiNetError) as err:
         reason = f"no key {err}" if isinstance(err, KeyError) else str(err)
         raise InputError(f"{path}: not a valid checkpoint: {reason}") from None
-    model = MagiNet(config, graph, normalizer=normalizer, **geometry)
-    model.params.load_state(state)
     return model

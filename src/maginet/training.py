@@ -121,7 +121,7 @@ class TrainResult:
     epochs_run: int = 0
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one, else the machine's CPU count."""
     if hasattr(os, "sched_getaffinity"):
@@ -148,7 +148,7 @@ def predict_windows(model: MagiNet, windows: list[IncompleteWindow]) -> list[np.
     per_pass = EVAL_PAIR_BUDGET // model.graph.n_nodes ** 2
     chunk = max(1, min(EVAL_CHUNK, per_pass))
     chunks = [windows[start:start + chunk] for start in range(0, len(windows), chunk)]
-    workers = min(_usable_cpus(), len(chunks)) if per_pass < EVAL_CHUNK else 1
+    workers = min(usable_cpus(), len(chunks)) if per_pass < EVAL_CHUNK else 1
     from concurrent.futures import ThreadPoolExecutor   # deferred: only a prediction needs it
     with ThreadPoolExecutor(max(1, workers)) as pool:
         return [pred for chunk_preds in pool.map(model.predict, chunks) for pred in chunk_preds]

@@ -4,6 +4,7 @@ import os
 import pickle
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -385,6 +386,39 @@ def test_eval_reads_a_mask_whose_seed_ratio_line_does_not_parse(tmp_path):
                 "--width", "2", "--out", str(tmp_path / "o")]) == 0
 
 
+def test_eval_labels_its_rows_by_the_mask_it_reads(tmp_path):
+    # --ratio and --seed draw no mask here: each row holds the share of the
+    # observed entries the mask hides and an empty seed; the comment line no seed
+    series, adj = generate_tiny(tmp_path, steps=240)
+    assert run(["mask", "--series", str(series), "--ratio", "0.2", "--seed", "3",
+                "--out", str(tmp_path)]) == 0
+    hidden = int(data.load_mask_csv(tmp_path / "mask.csv").sum())
+    observed = int(data.load_series_csv(series).observed().sum())
+    out = tmp_path / "o"
+    assert run(["eval", "--series", str(series), "--adj", str(adj), "--mask",
+                str(tmp_path / "mask.csv"), "--methods", "mean,knn", "--seed", "11",
+                "--out", str(out)]) == 0
+    comment, *lines = (out / "report.csv").read_text().splitlines()
+    assert [row[2:4] for row in csv.reader(lines[1:])] == [[repr(hidden / observed), ""]] * 2
+    assert "seed=" not in comment
+
+
+def test_eval_mask_over_a_series_with_nothing_observed_exits_2_without_a_warning(tmp_path,
+                                                                                 capsys):
+    series_path = tmp_path / "s.csv"
+    series_path.write_text("node0_f0,node1_f0\n,\n,\n")
+    adj_path = tmp_path / "a.csv"
+    adj_path.write_text("src,dst,weight\n0,1,1.0\n")
+    mask_path = tmp_path / "m.csv"
+    mask_path.write_text("node0,node1\n0,0\n0,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["eval", "--series", str(series_path), "--adj", str(adj_path),
+                    "--mask", str(mask_path), "--methods", "mean", "--split", "all",
+                    "--width", "2", "--out", str(tmp_path / "o")]) == 2
+    assert "input error: " in capsys.readouterr().err
+
+
 def test_eval_report_quotes_a_dataset_tag_holding_a_comma(tmp_path):
     series, adj = generate_tiny(tmp_path, steps=240)
     odd = tmp_path / "a,b.csv"
@@ -498,20 +532,21 @@ def test_sweep_deterministic_reports(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_sweep_same_bytes_for_any_job_count(tmp_path):
-    # the worker count changes no value, so the provenance line leaves it out
+def test_sweep_same_bytes_for_any_job_count(tmp_path, monkeypatch):
+    # in this process on one usable CPU, on two worker processes on two
     series, adj = generate_tiny(tmp_path, steps=240)
     outs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
+                            raising=False)
+        out = tmp_path / f"cpus{cpus}"
         assert run(["sweep", "--series", str(series), "--adj", str(adj),
                     "--ratios", "0.3,0.6", "--methods", "mean,knn,maginet", "--seed", "9",
-                    "--config", str(_fast_config(tmp_path)), "--jobs", jobs,
-                    "--out", str(out)]) == 0
+                    "--config", str(_fast_config(tmp_path)), "--out", str(out)]) == 0
         outs.append(out)
     assert (outs[0] / "sweep_rmse.csv").read_bytes() == (outs[1] / "sweep_rmse.csv").read_bytes()
     reports = [(out / "sweep_report.csv").read_text().splitlines() for out in outs]
-    assert reports[0][0] == reports[1][0] and "jobs" not in reports[0][0]
+    assert reports[0][0] == reports[1][0]
     assert len(reports[0]) == 2 + 6
     assert [line.rsplit(",", 1)[0] for line in reports[0]] == \
         [line.rsplit(",", 1)[0] for line in reports[1]]   # all but runtime_s
@@ -535,6 +570,24 @@ def test_sweep_unknown_method_exits_2_before_training(tmp_path, capsys, monkeypa
                 "--methods", "maginet,bogus", "--config", str(_fast_config(tmp_path)),
                 "--out", str(out)]) == 2
     assert "input error: unknown method 'bogus'" in capsys.readouterr().err
+    assert trained == [] and not out.exists()
+
+
+@pytest.mark.parametrize("k, message", [("0", "k must be >= 1, got 0"),
+                                        ("6", "k must be below the node count (6), got 6")])
+def test_sweep_knn_k_out_of_range_exits_2_before_training(tmp_path, capsys, monkeypatch,
+                                                          k, message):
+    # on one usable CPU the cells would run in this process, where the spy sees them
+    series, adj = generate_tiny(tmp_path, steps=240)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    trained = []
+    monkeypatch.setattr(evaluation, "train_and_score",
+                        lambda *a, **kw: trained.append(a) or (1.0, 1.0))
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--series", str(series), "--adj", str(adj), "--ratios", "0.5",
+                "--methods", "maginet,knn", "--knn-k", k,
+                "--config", str(_fast_config(tmp_path)), "--out", str(out)]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
     assert trained == [] and not out.exists()
 
 
@@ -597,13 +650,14 @@ COMMAND_ARGV = {
                "--epochs", "1"],
 }
 UNREAD = {"--series": "{tmp}/other.csv", "--adj": "{adj}", "--mask": "{mask}",
-          "--config": "{config}", "--seed": "9", "--ratio": "0.9", "--width": "6", "--stride": "3"}
+          "--config": "{config}", "--seed": "9", "--ratio": "0.9", "--width": "6", "--stride": "3",
+          "--jobs": "2"}
 UNREAD_FLAGS = [("generate", "--series"), ("generate", "--adj"), ("generate", "--mask"),
                 ("generate", "--ratio"), ("generate", "--stride"),
                 ("mask", "--adj"), ("mask", "--mask"), ("mask", "--width"), ("mask", "--stride"),
                 ("impute", "--config"), ("impute", "--seed"), ("impute", "--ratio"),
                 ("impute", "--width"), ("impute", "--stride"),
-                ("sweep", "--mask"), ("sweep", "--ratio"),
+                ("sweep", "--mask"), ("sweep", "--ratio"), ("sweep", "--jobs"),
                 ("ablate", "--mask")]
 
 
@@ -624,16 +678,6 @@ def test_flag_a_command_does_not_read_is_usage_error_before_any_file_is_written(
     argv = COMMAND_ARGV[command] + [flag, UNREAD[flag], "--out", str(out)]
     assert run([arg.format(**paths) for arg in argv]) == 1
     assert f"usage error: unrecognized arguments: {flag} " in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_jobs_below_one_is_usage_error_before_any_file_is_written(tmp_path, capsys, jobs):
-    series, adj = generate_tiny(tmp_path, steps=240)
-    out = tmp_path / "o"
-    assert run(["sweep", "--series", str(series), "--adj", str(adj), "--ratios", "0.5",
-                "--methods", "mean", "--jobs", jobs, "--out", str(out)]) == 1
-    assert f"usage error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -388,6 +390,40 @@ def test_ablation_variant_rows_share_mask_seed():
                                      model_config=model_cfg, train_config=train_cfg)
     assert [r.method for r in report.rows] == ["MagiNet", "w/o MASTdec"]
     assert report.rows[0].seed == report.rows[1].seed
+
+
+def pin_cpus(monkeypatch, count):
+    """Make the process look allowed to run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_ablation_same_rows_on_one_and_two_usable_cpus(monkeypatch):
+    series, graph = small_series()
+    model_cfg, train_cfg = fast_configs()
+    rows = []
+    for cpus in (1, 2):
+        pin_cpus(monkeypatch, cpus)
+        report = evaluation.ablation_run(series, graph, ["w/o MASTdec", "zero prefill"], seed=4,
+                                         ratio=0.5, width=12, stride=12,
+                                         fractions=(0.7, 0.2, 0.1), model_config=model_cfg,
+                                         train_config=train_cfg)
+        rows.append([row.as_list()[:-1] for row in report.rows])   # all but runtime_s
+    assert [row[0] for row in rows[0]] == ["MagiNet", "w/o MASTdec", "zero prefill"]
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("cpus, in_this_process", [(1, True), (2, False)])
+def test_cells_run_in_worker_processes_only_from_two_usable_cpus(monkeypatch, cpus,
+                                                                 in_this_process):
+    # a trained model's "RMSE" is the id of the process that trained it
+    series, graph = small_series()
+    model_cfg, train_cfg = fast_configs()
+    pin_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(evaluation, "train_and_score", lambda *a: (float(os.getpid()), 0.0))
+    report = evaluation.ablation_run(series, graph, ["w/o MASTdec"], seed=4, ratio=0.5,
+                                     width=12, stride=12, fractions=(0.7, 0.2, 0.1),
+                                     model_config=model_cfg, train_config=train_cfg)
+    assert [row.rmse == os.getpid() for row in report.rows] == [in_this_process] * 2
 
 
 def test_ablation_unknown_variant_rejected():

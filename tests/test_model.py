@@ -494,8 +494,12 @@ def _with_first_param(payload, **entry):
     lambda payload: _with_first_param(payload, shape=[10 ** 6]),
     lambda payload: _with_first_param(payload, data=["x"]),
     lambda payload: [payload],
+    lambda payload: {**payload, "config": {**payload["config"], "wat": 1}},
+    lambda payload: {**payload, "config": {**payload["config"], "heads": 0}},
+    lambda payload: {**payload, "config": {**payload["config"], "d": 8}},   # saved at d=4
 ], ids=["heads-a-string", "no-config", "no-params", "no-normalizer-std", "width-not-a-number",
-        "shape-not-fitting-data", "data-not-a-number", "a-list"])
+        "shape-not-fitting-data", "data-not-a-number", "a-list", "unknown-config-key",
+        "heads-zero", "params-not-fitting-the-config"])
 def test_malformed_checkpoint_is_an_input_error_naming_the_file(tmp_path, spoil):
     model = make_model(seed=9)
     model.normalizer = data.Normalizer(mean=np.zeros(1), std=np.ones(1))

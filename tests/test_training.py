@@ -142,6 +142,34 @@ def test_adam_clipping_bounds_global_norm():
     assert float(a.data) < 0 and float(b.data) < 0
 
 
+def test_adam_clipped_steps_match_unclipped_steps_on_rescaled_gradients():
+    # a step whose global gradient norm exceeds the clip takes the gradients
+    # scaled by clip / norm; a step below the clip takes them unscaled
+    rng = np.random.default_rng(17)
+    start = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+    above = {name: 10.0 * rng.normal(size=value.shape) for name, value in start.items()}
+    below = {name: 1e-3 * rng.normal(size=value.shape) for name, value in start.items()}
+    clip = 2.0
+    norm = np.sqrt(sum(float((g * g).sum()) for g in above.values()))   # as Adam.step has it
+    assert norm > clip > np.sqrt(sum(float((g * g).sum()) for g in below.values()))
+
+    def two_steps(bound, first, second):
+        params = {name: ad.parameter(value) for name, value in start.items()}
+        opt = training.Adam(params, lr=0.05, clip=bound)
+        for grads in (first, second):
+            for name, t in params.items():
+                t.grad = np.array(grads[name])
+            opt.step()
+        return {name: t.data for name, t in params.items()}
+
+    clipped = two_steps(clip, above, below)
+    scaled = {name: g * (clip / norm) for name, g in above.items()}
+    reference, unclipped = two_steps(None, scaled, below), two_steps(None, above, below)
+    for name in start:
+        assert np.array_equal(clipped[name], reference[name])
+        assert not np.array_equal(clipped[name], unclipped[name])
+
+
 # ---------------------------------------------------------------- train loop
 
 
