@@ -18,7 +18,7 @@ w = ad.parameter(np.array([[0.1, 0.4, -0.5, 0.3], [-0.3, 0.2, 0.6, -0.1]]))
 # convolutions, is tanh of the first half of the columns times sigmoid
 # of the second half.
 hidden = ad.tanh_sigmoid_gate(ad.matmul(x, w))
-score = ad.softmax_lastdim(hidden)
+score = ad.masked_softmax(hidden)
 loss = (score * score).sum()
 print("loss:", loss.item())
 
@@ -34,15 +34,15 @@ x.zero_grad()
 w.zero_grad()
 target = ad.constant(np.array([[0.2, 0.8], [0.9, 0.1]]))
 errors = check_gradients(
-    lambda: (ad.softmax_lastdim(ad.tanh_sigmoid_gate(ad.matmul(x, w))) * target).sum(),
+    lambda: (ad.masked_softmax(ad.tanh_sigmoid_gate(ad.matmul(x, w))) * target).sum(),
     {"x": x, "w": w})
 print("gradient check max relative errors:", errors)
 
 # Masking semantics: -inf scores drop out of the softmax exactly.
 scores = ad.constant([[2.0, -np.inf, 0.5], [-np.inf, -np.inf, -np.inf]])
-print("masked softmax rows:\n", ad.softmax_lastdim(scores).data)
+print("masked softmax rows:\n", ad.masked_softmax(scores).data)
 print("(a fully masked row collapses to zeros, not NaN)")
 raw = ad.constant([[2.0, 7.0, 0.5], [1.0, 3.0, 2.0]])
 keep = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-print("the same rows from masked_softmax, which never forms -inf:\n",
+print("the same rows from a keep mask, which never forms -inf:\n",
       ad.masked_softmax(raw, keep).data)

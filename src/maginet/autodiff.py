@@ -27,8 +27,9 @@ Kernel rules, which keep the hot kernels off numpy's slow paths:
   is one matrix-vector product with a ones vector (``_rowsum``). A short
   trailing-axis max is a loop of elementwise maxima over its columns,
   a long one numpy's reduction (``_rowmax``).
-- ``masked_softmax`` multiplies by the keep mask, so ``exp`` never sees
-  a masked entry as -inf; masked keys still get weight exactly 0.
+- ``masked_softmax`` is the one softmax. Given a keep mask it multiplies
+  by it, so ``exp`` never sees a masked entry as -inf; without one, -inf
+  entries drop out. Masked keys get weight exactly 0 either way.
 - A kernel updates its own temporaries in place. Temporaries that grow
   with the input's rows are built a block of rows at a time: the im2col
   patches of ``conv1d_time`` (forward and backward) and, without a tape,
@@ -57,13 +58,11 @@ __all__ = [
     "parameter",
     "matmul",
     "concat",
-    "stack",
     "broadcast_to",
     "scale_by",
     "masked_select",
     "relu",
     "absolute",
-    "softmax_lastdim",
     "masked_softmax",
     "tanh_sigmoid_gate",
     "layer_norm",
@@ -161,10 +160,10 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, other)
+        return add(self, -as_tensor(other))
 
     def __rsub__(self, other):
-        return sub(other, self)
+        return add(other, -self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -319,17 +318,6 @@ def add(a, b) -> Tensor:
     return _record(a.data + b.data, (a, b), rule)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise(a.shape, b.shape)
-    sa, sb = a.shape, b.shape
-
-    def rule(g):
-        return _reduce_to(g, sa), -_reduce_to(g, sb)
-
-    return _record(a.data - b.data, (a, b), rule)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise(a.shape, b.shape)
@@ -451,17 +439,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         )
 
     return _record(np.concatenate([t.data for t in tensors], axis=axis), tensors, rule)
-
-
-def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ContractError("stack needs at least one tensor")
-
-    def rule(g):
-        return tuple(np.ascontiguousarray(np.take(g, i, axis=axis)) for i in range(len(tensors)))
-
-    return _record(np.stack([t.data for t in tensors], axis=axis), tensors, rule)
 
 
 def broadcast_to(t: Tensor, shape) -> Tensor:
@@ -668,38 +645,26 @@ def _softmax_rule(y: np.ndarray):
     return rule
 
 
-def softmax_lastdim(t: Tensor) -> Tensor:
-    """Softmax over the last axis with masking semantics.
+def masked_softmax(t: Tensor, keep=None) -> Tensor:
+    """Softmax over the last axis; masked entries get weight exactly 0.
 
-    Entries equal to -inf (masked keys) map to exactly 0; a row that is
-    entirely -inf maps to the all-zeros row. NaN or +inf input is a
-    numeric error.
-    """
-    t = as_tensor(t)
-    if t.ndim < 1 or t.shape[-1] < 1:
-        raise ShapeError(f"softmax_lastdim needs a nonempty last axis, got shape {t.shape}")
-    d = t.data
-    y = _softmax_rows(d, _rowmax(d))
-    return _record(y, (t,), _softmax_rule(y))
-
-
-def masked_softmax(t: Tensor, keep) -> Tensor:
-    """``softmax_lastdim`` of ``t`` with -inf where ``keep`` is 0, without the -inf.
-
-    ``keep`` is a constant 0/1 array broadcastable to ``t``. Masked entries
-    get weight exactly 0 and a row with no kept entry maps to zeros, for
-    whatever finite or -inf values the masked entries hold; NaN or +inf
-    anywhere in ``t`` is a numeric error. The row max is taken over
-    ``t + log(keep)``, ``exp`` runs on ``min(t - max, 0)`` and its result
-    is multiplied by the mask, so ``exp`` never sees a masked entry as
-    -inf.
+    Without ``keep`` the masked entries are the -inf ones. ``keep`` is a
+    constant 0/1 array broadcastable to ``t``, whose 0 entries are masked
+    whatever finite or -inf values they hold. A row with nothing kept maps
+    to zeros; NaN or +inf anywhere in ``t`` is a numeric error. With a mask
+    the row max is taken over ``t + log(keep)``, ``exp`` runs on
+    ``min(t - max, 0)`` and its result is multiplied by the mask, so
+    ``exp`` never sees a masked entry as -inf.
     """
     t = as_tensor(t)
     if t.ndim < 1 or t.shape[-1] < 1:
         raise ShapeError(f"masked_softmax needs a nonempty last axis, got shape {t.shape}")
-    keep = _keep_mask(keep, t.shape)
-    z = t.data + np.where(keep, 0.0, -np.inf)   # log(keep), built over the mask's shape
-    y = _softmax_rows(t.data, _rowmax(z), keep.astype(np.float64), out=z)
+    if keep is None:
+        y = _softmax_rows(t.data, _rowmax(t.data))
+    else:
+        keep = _keep_mask(keep, t.shape)
+        z = t.data + np.where(keep, 0.0, -np.inf)   # log(keep), built over the mask's shape
+        y = _softmax_rows(t.data, _rowmax(z), keep.astype(np.float64), out=z)
     return _record(y, (t,), _softmax_rule(y))
 
 

@@ -264,6 +264,11 @@ def _load_or_draw_mask(args, cfg: RunConfig, series):
     return _load_mask(args.mask, series)
 
 
+def _hidden_share(mask, series) -> float:
+    """The ratio of a mask read from --mask: the share of observed entries it hides."""
+    return int(mask.sum()) / max(1, int(series.observed().sum()))
+
+
 def _dataset_tag(args) -> str:
     return Path(args.series).stem
 
@@ -309,6 +314,8 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     series, graph = _load_series_graph(args)
     mask = _load_or_draw_mask(args, cfg, series)
+    if args.mask:
+        cfg.ratio = _hidden_share(mask, series)
     windows = data.make_windows(series, mask, cfg.width, cfg.effective_stride)
     train_ws, valid_ws, test_ws = data.split(windows, cfg.fractions)
     model = MagiNet(cfg.model_config(), graph, width=cfg.width, n_features=series.n_features,
@@ -368,8 +375,7 @@ def cmd_eval(args) -> int:
     mask = _load_or_draw_mask(args, cfg, series)
     windows = data.make_windows(series, mask, cfg.width, cfg.effective_stride)
     # a mask read from --mask is labelled by the share of observed entries it hides, and no seed
-    ratio, seed = ((int(mask.sum()) / max(1, int(series.observed().sum())), None) if args.mask
-                   else (cfg.ratio, cfg.seed))
+    ratio, seed = (_hidden_share(mask, series), None) if args.mask else (cfg.ratio, cfg.seed)
     chosen = windows if args.split == "all" else data.split(windows, cfg.fractions)[2]
     if not chosen:
         raise InputError("no windows in the selected split")

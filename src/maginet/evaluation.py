@@ -221,7 +221,7 @@ def imputation_traces(windows: list[IncompleteWindow], imputed: list[np.ndarray]
                     truth = w.ground_truth[node, t, feature]
                 else:
                     truth = float("nan")
-                rows.append((w.window_start + t, truth, float(xhat[node, t, feature]),
+                rows.append((w.window_start + t, float(truth), float(xhat[node, t, feature]),
                              int(w.m[node, t])))
     for rows in traces.values():
         rows.sort(key=lambda r: r[0])

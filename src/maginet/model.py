@@ -228,7 +228,8 @@ def _permute(t: Tensor, *core: int) -> Tensor:
 
 def _head_weights(params: ModelParams, prefix: str, kind: str, heads: int) -> Tensor:
     """One kind's per-head (d_in, dh) weights stacked as (heads, d_in, dh)."""
-    return ad.stack([params[f"{prefix}.{kind}{head}"] for head in range(heads)], axis=0)
+    per_head = [params[f"{prefix}.{kind}{head}"] for head in range(heads)]
+    return ad.reshape(ad.concat(per_head, axis=0), (heads, *per_head[0].shape))
 
 
 def _scores(x: Tensor, params: ModelParams, prefix: str, config: ModelConfig) -> Tensor:
@@ -296,7 +297,7 @@ def temporal_attention(h: Tensor, m: np.ndarray, a_prev: Tensor | None, params: 
     if config.mask_mode == "neg_inf":
         weights = ad.masked_softmax(a_new, key_mask)
     else:
-        weights = ad.softmax_lastdim(ad.scale_by(a_new, key_mask))
+        weights = ad.masked_softmax(ad.scale_by(a_new, key_mask))
     if internals is not None:
         internals.setdefault("temporal_weights", []).append(weights.data.copy())
         internals.setdefault("temporal_scores", []).append(a_new.data.copy())
@@ -343,7 +344,7 @@ def spatial_attention(h_matt: Tensor, params: ModelParams, config: ModelConfig, 
         for head in range(heads):
             q = ad.matmul(z, params[f"{p}.spatial.q{head}"] * scale)
             k = ad.matmul(z, params[f"{p}.spatial.k{head}"])
-            s_heads.append(ad.softmax_lastdim(ad.matmul(q, _permute(k, 1, 0))))   # (..., N, N)
+            s_heads.append(ad.masked_softmax(ad.matmul(q, _permute(k, 1, 0))))   # (..., N, N)
     if internals is not None:
         internals.setdefault("spatial_weights", []).append(
             np.stack([head.data for head in s_heads], axis=-3))

@@ -68,7 +68,7 @@ def masked_l1_loss(xhat: Tensor, xtilde, eval_mask) -> Tensor:
     count = int(eval_mask.sum())
     if count == 0:
         raise EmptyMaskError("no held-out positions in this batch")
-    per_position = ad.absolute(xhat - ad.constant(xtilde)).mean(axis=-1)
+    per_position = ad.absolute(xhat + ad.constant(-xtilde)).mean(axis=-1)
     return ad.masked_select(per_position, eval_mask).sum() * (1.0 / count)
 
 

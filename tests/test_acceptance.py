@@ -92,7 +92,7 @@ def test_criterion_1_gradient_suite():
         check(lambda: ad.matmul(p, q).mean(), {"p": p, "q": q})
         x = leaf(3, 5)
         wgt = ad.constant(rng.standard_normal((3, 5)))
-        check(lambda: (ad.softmax_lastdim(x) * wgt).sum(), {"x": x})
+        check(lambda: (ad.masked_softmax(x) * wgt).sum(), {"x": x})
         xm = leaf(2, 6)
         keep = np.array([[1, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 0]])
         wm = ad.constant(rng.standard_normal((2, 6)))
@@ -109,10 +109,10 @@ def test_criterion_1_gradient_suite():
         check(lambda: (ad.relu(xa + 0.3) + ad.absolute(xa + 1.9)).mean(axis=1).sum(), {"x": xa})
         xr, yr = leaf(2, 6), leaf(2, 6)
         wr = ad.constant(rng.standard_normal((4, 2, 3)))
-        check(lambda: (ad.stack([ad.concat([xr.reshape((2, 2, 3)), yr.reshape((2, 2, 3))], 1),
-                                 ad.concat([yr.reshape((2, 2, 3)), xr.reshape((2, 2, 3))], 1)],
-                                0).sum(axis=0).transpose((1, 0, 2)) * wr).sum(),
-              {"x": xr, "y": yr})
+        check(lambda: (ad.concat(
+            [ad.concat([xr.reshape((1, 2, 2, 3)), yr.reshape((1, 2, 2, 3))], 2),
+             ad.concat([yr.reshape((1, 2, 2, 3)), xr.reshape((1, 2, 2, 3))], 2)],
+            0).sum(axis=0).transpose((1, 0, 2)) * wr).sum(), {"x": xr, "y": yr})
         xk = leaf(3, 4)
         keep2 = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]])
         check(lambda: ad.masked_select(ad.scale_by(xk, np.array([2.0, 1.0, 0.5, 1.5])), keep2).sum()

@@ -75,52 +75,52 @@ def test_matmul_batched_matches_numpy():
 
 
 def test_softmax_symmetry():
-    out = ad.softmax_lastdim(ad.constant([0.0, 0.0]))
+    out = ad.masked_softmax(ad.constant([0.0, 0.0]))
     assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
 
 
 def test_softmax_masked_entry_is_exactly_zero():
-    out = ad.softmax_lastdim(ad.constant([-np.inf, 0.0]))
+    out = ad.masked_softmax(ad.constant([-np.inf, 0.0]))
     assert out.data[0] == 0.0
     assert out.data[1] == 1.0
 
 
 def test_softmax_hand_values():
     # softmax([ln 1, ln 3]) = [1, 3] / 4
-    out = ad.softmax_lastdim(ad.constant([np.log(1.0), np.log(3.0)]))
+    out = ad.masked_softmax(ad.constant([np.log(1.0), np.log(3.0)]))
     assert np.allclose(out.data, [0.25, 0.75], atol=1e-15)
 
 
 def test_softmax_all_masked_row_maps_to_zeros():
     x = np.array([[-np.inf, -np.inf], [0.0, 1.0]])
-    out = ad.softmax_lastdim(ad.constant(x))
+    out = ad.masked_softmax(ad.constant(x))
     assert np.array_equal(out.data[0], [0.0, 0.0])
     assert np.isclose(out.data[1].sum(), 1.0)
 
 
 def test_softmax_nan_input_rejected():
     with pytest.raises(NumericError):
-        ad.softmax_lastdim(ad.constant([np.nan, 0.0]))
+        ad.masked_softmax(ad.constant([np.nan, 0.0]))
 
 
 def test_softmax_nan_outranks_posinf_in_another_row():
     x = np.array([[0.0, np.inf], [np.nan, 0.0], [1.0, -np.inf]])
     with pytest.raises(NumericError, match="NaN"):
-        ad.softmax_lastdim(ad.constant(x))
+        ad.masked_softmax(ad.constant(x))
     with pytest.raises(NumericError, match=r"\+inf"):
-        ad.softmax_lastdim(ad.constant(x[[0, 2]]))
+        ad.masked_softmax(ad.constant(x[[0, 2]]))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
 def test_softmax_rows_sum_to_one(row):
-    out = ad.softmax_lastdim(ad.constant(row))
+    out = ad.masked_softmax(ad.constant(row))
     assert abs(out.data.sum() - 1.0) < 1e-12
 
 
 def test_softmax_of_sum_has_zero_gradient():
     x = rand_leaf(5)
-    ad.softmax_lastdim(x).sum().backward()
+    ad.masked_softmax(x).sum().backward()
     assert np.allclose(x.grad, 0.0, atol=1e-12)
 
 
@@ -274,7 +274,7 @@ def test_forward_is_bit_deterministic():
         rng = np.random.default_rng(7)
         x = ad.parameter(rng.standard_normal((3, 8)))
         w = ad.parameter(rng.standard_normal((4, 2)))
-        out = ad.softmax_lastdim(ad.matmul(ad.tanh_sigmoid_gate(x), w))
+        out = ad.masked_softmax(ad.matmul(ad.tanh_sigmoid_gate(x), w))
         return out.data.copy()
 
     assert np.array_equal(run(), run())
@@ -354,7 +354,7 @@ def test_grad_conv1d_batch_axis():
 def test_grad_softmax():
     x = rand_leaf(3, 5)
     w = ad.constant(RNG.standard_normal((3, 5)))
-    _assert_grads(lambda: (ad.softmax_lastdim(x) * w).sum(), {"x": x})
+    _assert_grads(lambda: (ad.masked_softmax(x) * w).sum(), {"x": x})
 
 
 def test_grad_softmax_with_masked_keys():
@@ -364,7 +364,7 @@ def test_grad_softmax_with_masked_keys():
     neg_inf = ad.constant(ref_masked_fill(np.zeros(keep.shape), keep, -np.inf))
 
     def build():
-        return (ad.softmax_lastdim(x + neg_inf) * w).sum()
+        return (ad.masked_softmax(x + neg_inf) * w).sum()
 
     _assert_grads(build, {"x": x})
 
@@ -400,7 +400,8 @@ def test_grad_reshape_transpose_concat_stack():
 
     def build():
         c = ad.concat([a.reshape((2, 2, 3)), b.reshape((2, 2, 3))], axis=1)  # (2,4,3)
-        d = ad.stack([c, c * 0.5], axis=0).sum(axis=0)  # (2,4,3)
+        d = ad.concat([c.reshape((1, 2, 4, 3)), (c * 0.5).reshape((1, 2, 4, 3))],
+                      axis=0).sum(axis=0)  # (2,4,3)
         return (d.transpose((1, 0, 2)) * w).sum()   # (4,2,3)
 
     _assert_grads(build, {"a": a, "b": b})
@@ -520,13 +521,32 @@ def test_softmax_lastdim_matches_reference(width):
     x = RNG.normal(0.0, 5.0, (6, 3, width))
     x[0, 1, :] = -np.inf
     x[2, :, : width // 2] = -np.inf
-    got = ad.softmax_lastdim(ad.constant(x)).data
+    got = ad.masked_softmax(ad.constant(x)).data
     want = ref_softmax(x)
     assert_close(got, want)
     assert np.array_equal(got[x == -np.inf], np.zeros(int((x == -np.inf).sum())))
     assert np.array_equal(got[0, 1], np.zeros(width))
     g = RNG.standard_normal(x.shape)
-    assert_close(grad_of(ad.softmax_lastdim, ad.parameter(x), g), ref_softmax_backward(want, g))
+    assert_close(grad_of(ad.masked_softmax, ad.parameter(x), g), ref_softmax_backward(want, g))
+
+
+@pytest.mark.parametrize("width", [2, 12, 40])
+def test_masked_softmax_without_a_mask_masks_the_neg_inf_entries(width):
+    # the same bits as keeping the finite entries, and the reference's values
+    x = RNG.normal(0.0, 5.0, (4, 3, width))
+    x[0, 1, :] = -np.inf
+    x[2, :, : width // 2] = -np.inf
+    keep = x > -np.inf
+    got = ad.masked_softmax(ad.constant(x)).data
+    assert np.array_equal(got, ad.masked_softmax(ad.constant(np.where(keep, x, 0.0)), keep).data)
+    assert_close(got, ref_softmax(x))
+    assert np.array_equal(got[~keep], np.zeros(int((~keep).sum())))
+    g = RNG.standard_normal(x.shape)
+    assert_close(grad_of(ad.masked_softmax, ad.parameter(x), g), ref_softmax_backward(got, g))
+    for bad, message in ((np.nan, "NaN"), (np.inf, r"\+inf")):
+        x[1, 0, 0] = bad
+        with pytest.raises(NumericError, match=message):
+            ad.masked_softmax(ad.constant(x))
 
 
 @pytest.mark.parametrize("shape", [(5, 3, 12, 12), (4, 2, 2), (3, 40, 40)])
@@ -565,7 +585,7 @@ def test_masked_softmax_nan_or_posinf_row_raises(bad, message):
     with pytest.raises(NumericError, match=message):
         ad.masked_softmax(ad.constant(scores), keep)
     with pytest.raises(NumericError, match=message):
-        ad.softmax_lastdim(ad.constant(scores))
+        ad.masked_softmax(ad.constant(scores))
 
 
 def test_masked_softmax_rejects_a_mask_that_does_not_broadcast():

@@ -2,9 +2,12 @@ import csv
 import json
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +220,20 @@ def test_train_hide_fraction_flag(tmp_path):
     assert "hide_fraction=0.3 " in (out / "history.csv").read_text().splitlines()[0]
 
 
+def test_train_mask_records_the_ratio_of_the_mask_it_read(tmp_path):
+    # --ratio draws no mask here: config.json holds the share of the observed
+    # entries the mask hides, as eval --mask labels its rows
+    series, adj = generate_tiny(tmp_path, steps=240)
+    assert run(["mask", "--series", str(series), "--ratio", "0.2", "--seed", "3",
+                "--out", str(tmp_path)]) == 0
+    hidden = int(data.load_mask_csv(tmp_path / "mask.csv").sum())
+    observed = int(data.load_series_csv(series).observed().sum())
+    out = tmp_path / "run"
+    assert run(["train", "--series", str(series), "--adj", str(adj), "--mask",
+                str(tmp_path / "mask.csv"), "--ratio", "0.7", "--out", str(out)] + TRAIN_FAST) == 0
+    assert json.loads((out / "config.json").read_text())["ratio"] == hidden / observed != 0.7
+
+
 # ---------------------------------------------------------------- impute
 
 
@@ -305,6 +322,41 @@ def test_impute_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
     assert imputed[1] == imputed[4]
 
 
+# pins itself to one CPU when asked, before numpy loads, then runs the CLI
+PINNED_CLI = """import os, sys
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from maginet.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_impute_same_bytes_on_one_cpu_and_on_every_usable_cpu(tmp_path):
+    # 125 steps at W=12: 10 full windows and the tail window, in chunks of 4
+    # windows at 128 nodes, on a thread per usable CPU; with more than one
+    # BLAS thread the products may round differently, in the last bits only
+    series, adj = generate_tiny(tmp_path, nodes=128, steps=125, seed=3)
+    assert run(["mask", "--series", str(series), "--ratio", "0.5", "--out", str(tmp_path)]) == 0
+    model = MagiNet(ModelConfig(), load_adjacency(adj, 128), width=12, n_features=1, seed=3)
+    save_checkpoint(tmp_path / "checkpoint.json", model)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    imputed = {}
+    for cpus, blas in (("one-cpu", "1"), ("all-cpus", "1"), ("all-cpus", "2")):
+        out = tmp_path / f"{cpus}-{blas}"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas}
+        done = subprocess.run(
+            [sys.executable, "-c", PINNED_CLI, cpus, "impute", "--series", str(series), "--adj",
+             str(adj), "--mask", str(tmp_path / "mask.csv"), "--checkpoint",
+             str(tmp_path / "checkpoint.json"), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        imputed[cpus, blas] = out / "imputed.csv"
+    assert imputed["one-cpu", "1"].read_bytes() == imputed["all-cpus", "1"].read_bytes()
+    one, two = (data.load_series_csv(imputed["all-cpus", blas]).values for blas in ("1", "2"))
+    assert np.allclose(two, one, rtol=1e-12, atol=0.0)
+
+
 def test_impute_nan_at_an_observed_entry_of_a_later_window_exits_2(tmp_path, monkeypatch, capsys):
     # 480 steps at W=12: 40 windows in ten chunks of 4 under a shrunk pair
     # budget; the model's encoder rejects the NaN in whichever pool thread
@@ -370,6 +422,18 @@ def test_eval_writes_traces(tmp_path):
     assert len(files) == 6
     lines = files[0].read_text().splitlines()
     assert lines[1] == "t,ground_truth,imputed,observed"
+
+
+def test_eval_traces_hold_numbers(tmp_path):
+    series, adj = generate_tiny(tmp_path)
+    traces = tmp_path / "traces"
+    assert run(["eval", "--series", str(series), "--adj", str(adj), "--methods", "mean",
+                "--split", "all", "--traces", str(traces), "--out", str(tmp_path / "o")]) == 0
+    for path in traces.glob("mean_node*.csv"):
+        rows = list(csv.DictReader(path.read_text().splitlines()[1:]))
+        assert rows
+        for row in rows:
+            float(row["ground_truth"])   # raises on anything but a number
 
 
 def test_eval_reads_a_mask_whose_seed_ratio_line_does_not_parse(tmp_path):

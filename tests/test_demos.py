@@ -1,5 +1,6 @@
 """Every demo script runs to completion against the library in src/."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,5 +16,22 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                    reason="no forkserver start method on this platform")
+def test_sweep_demo_runs_under_the_forkserver_start_method(tmp_path):
+    # forkserver is Python 3.14's default on Linux, and each of its pool workers
+    # imports the script. With one usable CPU the sweep runs in-process, so only
+    # 2 or more CPUs show a script that does its work at import.
+    script = ROOT / "demos" / "05_baselines_and_sweep.py"
+    copy = tmp_path / script.name
+    copy.write_text("import multiprocessing\n"
+                    'multiprocessing.set_start_method("forkserver", force=True)\n'
+                    + script.read_text())
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(copy)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr

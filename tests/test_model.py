@@ -555,8 +555,9 @@ def test_batched_forward_matches_per_window(over):
     internals, per_window = {}, [{} for _ in ws]
     batched, batched_grads = grads(
         lambda: model.forward(stacked(ws, "x"), stacked(ws, "m"), internals))
-    single, single_grads = grads(lambda: ad.stack(
-        [model.forward(w.x, w.m, seen) for w, seen in zip(ws, per_window)], axis=0))
+    single, single_grads = grads(lambda: ad.concat(
+        [model.forward(w.x, w.m, seen).reshape((1, 5, 8, 1))
+         for w, seen in zip(ws, per_window)], axis=0))
     assert batched.shape == (3, 5, 8, 1)
     assert np.allclose(batched, single, rtol=0.0, atol=1e-10)
     # internals too
