@@ -663,8 +663,12 @@ def masked_softmax(t: Tensor, keep=None) -> Tensor:
         y = _softmax_rows(t.data, _rowmax(t.data))
     else:
         keep = _keep_mask(keep, t.shape)
-        z = t.data + np.where(keep, 0.0, -np.inf)   # log(keep), built over the mask's shape
-        y = _softmax_rows(t.data, _rowmax(z), keep.astype(np.float64), out=z)
+        with np.errstate(invalid="ignore"):   # +inf at a masked entry gives NaN, told apart below
+            z = t.data + np.where(keep, 0.0, -np.inf)   # log(keep), built over the mask's shape
+        rowmax = _rowmax(z)
+        if np.isnan(rowmax).any() and not np.isnan(t.data).any():
+            raise NumericError("softmax input contains +inf")
+        y = _softmax_rows(t.data, rowmax, keep.astype(np.float64), out=z)
     return _record(y, (t,), _softmax_rule(y))
 
 

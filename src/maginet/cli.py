@@ -85,12 +85,12 @@ class RunConfig:
     mask_mode: str = "neg_inf"
     ablations: tuple = ()
     # optimization
-    learning_rate: float = 1e-3
+    learning_rate: float = 3e-3
     epochs: int = 200
     batch_size: int = 8
-    patience: int = 20
+    patience: int = 200      # as many as the epochs: no early stop by default
     grad_clip: float = 0.0   # 0 disables clipping
-    hide_fraction: float = 0.0  # observed entries hidden per training window
+    hide_fraction: float = 0.5  # observed entries hidden per training window
 
     def __post_init__(self):
         self.kernel_sizes = tuple(int(k) for k in self.kernel_sizes)
@@ -482,7 +482,8 @@ _FLAGS = [
     ("--batch-size", _TRAINS, dict(type=int)),
     ("--patience", _TRAINS, dict(type=int)),
     ("--hide-fraction", _TRAINS, dict(type=float, help="share of observed entries hidden and "
-                                      "supervised per training window, in [0, 1) (default 0: off)")),
+                                      "supervised per training window, in [0, 1); 0 is off "
+                                      "(default 0.5)")),
     ("--grad-clip", "train", dict(type=float)),
     ("--d", "train", dict(type=int)),
     ("--heads", "train", dict(type=int)),

@@ -36,13 +36,13 @@ EVAL_PAIR_BUDGET = 65536
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-3
+    learning_rate: float = 3e-3
     epochs: int = 200
     batch_size: int = 8
-    patience: int = 20
+    patience: int = 200   # as many as the epochs: no early stop by default
     seed: int = 1
     grad_clip: float | None = None
-    hide_fraction: float = 0.0  # observed entries hidden per training window, per batch
+    hide_fraction: float = 0.5  # observed entries hidden per training window, per batch
 
     def __post_init__(self):
         if self.learning_rate < 0:

@@ -300,6 +300,13 @@ def test_criterion_6_end_to_end_learning():
     _report(6, "end-to-end learning", body)
 
 
+def test_training_defaults_are_criterion_6_recipe():
+    # `maginet train` with no training flags trains as criterion 6 does
+    recipe = {key: END_TO_END_RECIPE[key] for key in ("learning_rate", "patience", "hide_fraction")}
+    assert {key: getattr(TrainConfig(), key) for key in recipe} == recipe
+    assert {key: getattr(cli.RunConfig().train_config(), key) for key in recipe} == recipe
+
+
 # -- criterion 7: determinism -------------------------------------------------------
 
 
@@ -347,7 +354,7 @@ def test_criterion_8_ablation_direction():
         model_cfg = ModelConfig(d=8, heads=2, head_dim=4, spatial_dim=8, cheb_order=2,
                                 kernel_sizes=(3,), blocks=1)
         train_cfg = TrainConfig(learning_rate=3e-3, epochs=40, batch_size=8,
-                                patience=40, seed=2)
+                                patience=40, seed=2, hide_fraction=0.0)
         report = evaluation.ablation_run(series, graph, ["w/o MASTdec"], seed=2, ratio=0.5,
                                          width=12, stride=12, fractions=(0.7, 0.2, 0.1),
                                          model_config=model_cfg, train_config=train_cfg)

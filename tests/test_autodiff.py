@@ -588,6 +588,15 @@ def test_masked_softmax_nan_or_posinf_row_raises(bad, message):
         ad.masked_softmax(ad.constant(scores))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_masked_softmax_posinf_at_a_masked_entry_raises_naming_it():
+    with pytest.raises(NumericError, match=r"\+inf"):
+        ad.masked_softmax(ad.constant([[1.0, np.inf]]), np.array([[1, 0]]))
+    # a NaN in another row still outranks it
+    with pytest.raises(NumericError, match="NaN"):
+        ad.masked_softmax(ad.constant([[1.0, np.inf], [np.nan, 0.0]]), np.array([[1, 0]]))
+
+
 def test_masked_softmax_rejects_a_mask_that_does_not_broadcast():
     with pytest.raises(ShapeError):
         ad.masked_softmax(ad.constant(np.zeros((2, 3))), np.ones((3, 3)))

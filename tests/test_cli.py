@@ -538,6 +538,27 @@ def test_eval_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     assert f"input error: {config}: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_impute_checkpoint_of_version_1_exits_2_naming_file_and_version(tmp_path, capsys):
+    series, adj = generate_tiny(tmp_path)
+    model = MagiNet(ModelConfig(d=4, heads=2, head_dim=2, spatial_dim=3, cheb_order=2,
+                                kernel_sizes=(3,), blocks=1),
+                    load_adjacency(adj, 6), width=12, n_features=1, seed=1)
+    checkpoint = tmp_path / "k.json"
+    save_checkpoint(checkpoint, model)
+    payload = json.loads(checkpoint.read_text())
+    # version 1 spelled each tensor's values as a JSON number list
+    payload["format_version"] = 1
+    payload["params"] = {name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
+                         for name, t in model.params.items()}
+    checkpoint.write_text(json.dumps(payload))
+    code = run(["impute", "--series", str(series), "--adj", str(adj),
+                "--checkpoint", str(checkpoint), "--out", str(tmp_path / "imp")])
+    assert code == 2
+    assert (f"input error: {checkpoint}: not a valid checkpoint: unsupported checkpoint "
+            "version 1 (this maginet reads version 2)") in capsys.readouterr().err
+    assert not (tmp_path / "imp").exists()
+
+
 def test_impute_checkpoint_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     series, adj = generate_tiny(tmp_path)
     checkpoint = tmp_path / "k.json"

@@ -311,7 +311,8 @@ def small_series(seed=1, n=6, steps=240):
 def fast_configs():
     model_cfg = ModelConfig(d=4, heads=2, head_dim=2, spatial_dim=3, cheb_order=2,
                             kernel_sizes=(3,), blocks=1)
-    train_cfg = TrainConfig(learning_rate=2e-3, epochs=2, batch_size=4, patience=5, seed=1)
+    train_cfg = TrainConfig(learning_rate=2e-3, epochs=2, batch_size=4, patience=5, seed=1,
+                            hide_fraction=0.0)
     return model_cfg, train_cfg
 
 

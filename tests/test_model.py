@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import re
@@ -484,6 +485,12 @@ def _with_first_param(payload, **entry):
     return {**payload, "params": {**payload["params"], name: {**first, **entry}}}
 
 
+def _with_first_data(payload, edit):
+    """``payload`` with its first tensor's base64 text passed through ``edit``."""
+    first = next(iter(payload["params"].values()))
+    return _with_first_param(payload, data=edit(first["data"]))
+
+
 # each returns the JSON a spoiled checkpoint holds in place of the saved payload
 @pytest.mark.parametrize("spoil", [
     lambda payload: {**payload, "config": {**payload["config"], "heads": "3"}},
@@ -497,9 +504,13 @@ def _with_first_param(payload, **entry):
     lambda payload: {**payload, "config": {**payload["config"], "wat": 1}},
     lambda payload: {**payload, "config": {**payload["config"], "heads": 0}},
     lambda payload: {**payload, "config": {**payload["config"], "d": 8}},   # saved at d=4
+    lambda payload: _with_first_data(payload, lambda text: text[:4] + "*" + text[4:]),
+    lambda payload: _with_first_data(payload, lambda text: base64.b64encode(
+        base64.b64decode(text)[:-4]).decode()),
 ], ids=["heads-a-string", "no-config", "no-params", "no-normalizer-std", "width-not-a-number",
         "shape-not-fitting-data", "data-not-a-number", "a-list", "unknown-config-key",
-        "heads-zero", "params-not-fitting-the-config"])
+        "heads-zero", "params-not-fitting-the-config", "data-bad-base64-character",
+        "data-bytes-not-fitting-the-shape"])
 def test_malformed_checkpoint_is_an_input_error_naming_the_file(tmp_path, spoil):
     model = make_model(seed=9)
     model.normalizer = data.Normalizer(mean=np.zeros(1), std=np.ones(1))
@@ -509,6 +520,21 @@ def test_malformed_checkpoint_is_an_input_error_naming_the_file(tmp_path, spoil)
     path.write_text(comment + "\n" + json.dumps(spoil(json.loads(body))))
     with pytest.raises(InputError, match=f"^{re.escape(str(path))}: not a valid checkpoint: "):
         mm.load_checkpoint(path, model.graph)
+
+
+def test_checkpoint_tensors_roundtrip_bit_exact(tmp_path):
+    model = make_model(seed=9)
+    tricky = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1e308, -1e308,
+                       0.1, 1 / 3, 2.718281828459045, -123456789.01234567])
+    for _, t in model.params.items():
+        t.data = np.resize(tricky, t.shape)
+    path = tmp_path / "ckpt.json"
+    mm.save_checkpoint(path, model)
+    loaded = mm.load_checkpoint(path, model.graph)
+    for name, t in model.params.items():
+        got = loaded.params[name].data
+        assert got.tobytes() == t.data.tobytes(), name
+        assert got.dtype == np.float64 and got.flags.writeable and got.flags.owndata
 
 
 # ---------------------------------------------------------------- batched forward

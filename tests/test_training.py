@@ -176,7 +176,8 @@ def test_adam_clipped_steps_match_unclipped_steps_on_rescaled_gradients():
 def test_train_lr_zero_keeps_parameters():
     model, train_ws, valid_ws, _ = tiny_setup()
     before = model.params.state()
-    cfg = training.TrainConfig(learning_rate=0.0, epochs=3, batch_size=4, patience=10, seed=2)
+    cfg = training.TrainConfig(learning_rate=0.0, epochs=3, batch_size=4, patience=10, seed=2,
+                               hide_fraction=0.0)
     training.train_model(model, train_ws, valid_ws, cfg)
     after = model.params.state()
     assert all(np.array_equal(before[k], after[k]) for k in before)
@@ -185,7 +186,8 @@ def test_train_lr_zero_keeps_parameters():
 def test_train_single_window_memorization():
     # overfit sanity: loss on one window must drop below 10% of epoch 1
     model, train_ws, valid_ws, _ = tiny_setup(seed=3)
-    cfg = training.TrainConfig(learning_rate=5e-3, epochs=500, batch_size=1, patience=500, seed=3)
+    cfg = training.TrainConfig(learning_rate=5e-3, epochs=500, batch_size=1, patience=500, seed=3,
+                               hide_fraction=0.0)
     result = training.train_model(model, train_ws[:1], valid_ws[:1], cfg)
     first = result.history[0]["train_loss"]
     best = min(h["train_loss"] for h in result.history)
@@ -196,7 +198,8 @@ def test_train_seed_determinism_epoch1():
     losses = []
     for _ in range(2):
         model, train_ws, valid_ws, _ = tiny_setup(seed=4)
-        cfg = training.TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4, seed=4)
+        cfg = training.TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4, seed=4,
+                                   hide_fraction=0.0)
         result = training.train_model(model, train_ws, valid_ws, cfg)
         losses.append(result.history[0]["train_loss"])
     assert losses[0] == losses[1]
@@ -204,7 +207,8 @@ def test_train_seed_determinism_epoch1():
 
 def test_train_best_checkpoint_is_minimum_of_history():
     model, train_ws, valid_ws, _ = tiny_setup(seed=5)
-    cfg = training.TrainConfig(learning_rate=3e-3, epochs=12, batch_size=4, patience=12, seed=5)
+    cfg = training.TrainConfig(learning_rate=3e-3, epochs=12, batch_size=4, patience=12, seed=5,
+                               hide_fraction=0.0)
     result = training.train_model(model, train_ws, valid_ws, cfg)
     column = [h["val_rmse"] for h in result.history]
     assert result.best_val_rmse == min(column)
@@ -213,7 +217,8 @@ def test_train_best_checkpoint_is_minimum_of_history():
 
 def test_train_early_stopping_respects_patience():
     model, train_ws, valid_ws, _ = tiny_setup(seed=6)
-    cfg = training.TrainConfig(learning_rate=0.0, epochs=50, batch_size=4, patience=2, seed=6)
+    cfg = training.TrainConfig(learning_rate=0.0, epochs=50, batch_size=4, patience=2, seed=6,
+                               hide_fraction=0.0)
     result = training.train_model(model, train_ws, valid_ws, cfg)
     # lr=0 never improves after epoch 1, so the loop stops at patience+2
     assert result.epochs_run == 4
@@ -221,7 +226,8 @@ def test_train_early_stopping_respects_patience():
 
 def test_train_divergence_keeps_last_good_state():
     model, train_ws, valid_ws, _ = tiny_setup(seed=7)
-    cfg = training.TrainConfig(learning_rate=1e-3, epochs=10, batch_size=4, patience=10, seed=7)
+    cfg = training.TrainConfig(learning_rate=1e-3, epochs=10, batch_size=4, patience=10, seed=7,
+                               hide_fraction=0.0)
     real_forward = model.forward
     windows = {"n": 0}
     epoch_windows = len(train_ws) + len(valid_ws)  # training + validation windows
