@@ -6,11 +6,11 @@ recording order is a valid topological order, so ``backward()`` on a
 scalar replays the trace in reverse (a Wengert list) and accumulates
 gradients into every leaf that asked for them.
 
-Broadcasting is deliberately narrow: binary elementwise ops accept equal
-shapes, a scalar on either side, or a right operand whose shape is a
-trailing suffix of the left's (bias-style leading broadcast). Anything
-fancier must go through :func:`broadcast_to` or an explicit reshape so
-that shape bugs surface where they are made.
+``+``, ``-`` and ``*`` broadcast as numpy does, an ndarray or number on
+either side; shapes that do not broadcast raise :class:`ShapeError`
+naming both. Backward sums a gradient back over the axes its operand was
+broadcast along, and computes none for an operand off the tape, so a
+tensor times a constant 0/1 mask costs one product each way.
 
 Everything is float64; gradient checking against central finite
 differences is the package's primary verification mechanism and needs
@@ -58,8 +58,6 @@ __all__ = [
     "parameter",
     "matmul",
     "concat",
-    "broadcast_to",
-    "scale_by",
     "masked_select",
     "relu",
     "absolute",
@@ -109,6 +107,9 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_rule", "_id")
+    # numpy defers to the reflected operators, so ``mask * t`` is a Tensor
+    # and not an object array holding a Tensor per element of ``mask``
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -275,22 +276,6 @@ class Tape:
 # -- shape plumbing -----------------------------------------------------
 
 
-def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
-    return int(np.prod(shape, dtype=np.int64)) == 1
-
-
-def _check_elementwise(sa: tuple[int, ...], sb: tuple[int, ...]) -> None:
-    if sa == sb or _is_scalar_shape(sa) or _is_scalar_shape(sb):
-        return
-    big, small = (sa, sb) if len(sa) >= len(sb) else (sb, sa)
-    if len(big) > len(small) and big[len(big) - len(small):] == small:
-        return
-    raise ShapeError(
-        f"elementwise op on shapes {sa} and {sb}: only equal shapes, scalars, or a "
-        f"trailing-suffix operand broadcast are allowed; use broadcast_to/reshape explicitly"
-    )
-
-
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (inverse of numpy-style broadcasting)."""
     if g.shape == shape:
@@ -307,24 +292,34 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise arithmetic ----------------------------------------------
 
 
+def _check_broadcast(op: str, sa: tuple[int, ...], sb: tuple[int, ...]) -> None:
+    try:
+        np.broadcast_shapes(sa, sb)
+    except ValueError:
+        raise ShapeError(f"{op} of shapes {sa} and {sb}: they do not broadcast") from None
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise(a.shape, b.shape)
     sa, sb = a.shape, b.shape
+    _check_broadcast("add", sa, sb)
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def rule(g):
-        return _reduce_to(g, sa), _reduce_to(g, sb)
+        return (_reduce_to(g, sa) if need_a else None), (_reduce_to(g, sb) if need_b else None)
 
     return _record(a.data + b.data, (a, b), rule)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise(a.shape, b.shape)
     da, db = a.data, b.data
+    _check_broadcast("mul", da.shape, db.shape)
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def rule(g):
-        return _reduce_to(g * db, da.shape), _reduce_to(g * da, db.shape)
+        ga = _reduce_to(g * db, da.shape) if need_a else None
+        return ga, (_reduce_to(g * da, db.shape) if need_b else None)
 
     return _record(da * db, (a, b), rule)
 
@@ -441,23 +436,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _record(np.concatenate([t.data for t in tensors], axis=axis), tensors, rule)
 
 
-def broadcast_to(t: Tensor, shape) -> Tensor:
-    """Explicit numpy-style broadcast; the gradient sums over expanded axes."""
-    t = as_tensor(t)
-    shape = tuple(int(s) for s in shape)
-    try:
-        if np.broadcast_shapes(t.shape, shape) != shape:
-            raise ValueError
-    except ValueError:
-        raise ShapeError(f"cannot broadcast {t.shape} to {shape}") from None
-    in_shape = t.shape
-
-    def rule(g):
-        return (_reduce_to(g, in_shape),)
-
-    return _record(np.ascontiguousarray(np.broadcast_to(t.data, shape)), (t,), rule)
-
-
 # -- constant-mask helpers ------------------------------------------------
 
 
@@ -477,27 +455,6 @@ def _keep_mask(keep, shape: tuple[int, ...]) -> np.ndarray:
     if not fits:
         raise ShapeError(f"mask of shape {keep.shape} does not broadcast onto {shape}")
     return keep
-
-
-def scale_by(t: Tensor, factor) -> Tensor:
-    """Elementwise multiply by a constant array, numpy-broadcast both ways.
-
-    The result has the broadcast shape; the gradient sums back over the
-    axes the factor added (e.g. a per-window mask scaling one shared
-    parameter across a batch).
-    """
-    t = as_tensor(t)
-    factor = np.asarray(_as_const_array(factor), dtype=np.float64)
-    try:
-        np.broadcast_shapes(factor.shape, t.shape)
-    except ValueError:
-        raise ShapeError(f"factor of shape {factor.shape} does not broadcast with {t.shape}") from None
-    in_shape = t.shape
-
-    def rule(g):
-        return (_reduce_to(g * factor, in_shape),)
-
-    return _record(t.data * factor, (t,), rule)
 
 
 def masked_select(t: Tensor, mask) -> Tensor:

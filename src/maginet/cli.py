@@ -372,6 +372,9 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     series, graph = _load_series_graph(args)
     model = load_checkpoint(_require(args.checkpoint, "checkpoint"), graph) if "maginet" in methods else None
+    if model is not None and model.width != cfg.width:
+        raise InputError(f"{args.checkpoint}: the model was trained on windows of width "
+                         f"{model.width}, but --width is {cfg.width}")
     mask = _load_or_draw_mask(args, cfg, series)
     windows = data.make_windows(series, mask, cfg.width, cfg.effective_stride)
     # a mask read from --mask is labelled by the share of observed entries it hides, and no seed

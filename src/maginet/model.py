@@ -271,7 +271,7 @@ def amst_encode(x: np.ndarray, m: np.ndarray, params: ModelParams, config: Model
         x_p = ad.matmul(ad.constant(filled), params["encoder.w_obs"]) + params["encoder.b_obs"]
     else:
         x_o = ad.matmul(ad.constant(x * m3), params["encoder.w_obs"]) + params["encoder.b_obs"]
-        x_p = ad.scale_by(x_o, m3) + ad.scale_by(params["encoder.missing_embed"], 1.0 - m3)
+        x_p = x_o * m3 + params["encoder.missing_embed"] * (1.0 - m3)
     return x_p + params["encoder.pos_time"]
 
 
@@ -298,7 +298,7 @@ def temporal_attention(h: Tensor, m: np.ndarray, a_prev: Tensor | None, params: 
     if config.mask_mode == "neg_inf":
         weights = ad.masked_softmax(a_new, key_mask)
     else:
-        weights = ad.masked_softmax(ad.scale_by(a_new, key_mask))
+        weights = ad.masked_softmax(a_new * key_mask)
     if internals is not None:
         internals.setdefault("temporal_weights", []).append(weights.data.copy())
         internals.setdefault("temporal_scores", []).append(a_new.data.copy())
@@ -375,9 +375,9 @@ def graph_conv(h: Tensor, s_heads: list[Tensor], basis: ChebyshevBasis, params: 
         if k == 0:
             # (T_0 o S) h with T_0 = I scales the rows of h by diag(S)
             diag = ad.masked_select(s, np.broadcast_to(basis.matrices[0], s.shape))
-            aggregated = ad.broadcast_to(ad.reshape(diag, (*lead, n, 1)), h_flat.shape) * h_flat
+            aggregated = ad.reshape(diag, (*lead, n, 1)) * h_flat
         else:
-            aggregated = ad.matmul(ad.scale_by(s, basis.matrices[k]), h_flat)
+            aggregated = ad.matmul(s * basis.matrices[k], h_flat)
         del s
         term = ad.matmul(ad.reshape(aggregated, (*lead, n, width, d)), params[f"{p}.cheb.theta{k}"])
         del aggregated
@@ -521,6 +521,27 @@ def _decode(entry: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
+def _json_int(payload: dict, key: str) -> int:
+    value = payload[key]
+    if type(value) is not int:   # int() would take 8.9, "12" and true
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _decode_normalizer(stats: dict, n_features: int) -> Normalizer:
+    """``n_features`` finite means and as many finite, positive stds."""
+    arrays = {}
+    for key in ("mean", "std"):
+        values = stats[key]
+        if not (isinstance(values, list) and len(values) == n_features
+                and all(type(v) in (int, float) and math.isfinite(v) for v in values)):
+            raise ValueError(f"normalizer {key} must be a list of {n_features} finite numbers")
+        arrays[key] = np.array(values, dtype=np.float64)
+    if not (arrays["std"] > 0).all():
+        raise ValueError("normalizer std must be positive")
+    return Normalizer(**arrays)
+
+
 def save_checkpoint(path, model: MagiNet, comment: str | None = None) -> None:
     payload = {
         "format_version": CHECKPOINT_VERSION,
@@ -554,18 +575,17 @@ def load_checkpoint(path, graph: TrafficGraph) -> MagiNet:
         if payload.get("format_version") != CHECKPOINT_VERSION:
             raise InputError(f"unsupported checkpoint version {payload.get('format_version')!r} "
                              f"(this maginet reads version {CHECKPOINT_VERSION})")
+        geometry = {key: _json_int(payload, key) for key in ("width", "n_features", "seed")}
         normalizer = None
         if payload.get("normalizer"):
-            normalizer = Normalizer(mean=np.array(payload["normalizer"]["mean"]),
-                                    std=np.array(payload["normalizer"]["std"]))
-        geometry = {key: int(payload[key]) for key in ("width", "n_features", "seed")}
+            normalizer = _decode_normalizer(payload["normalizer"], geometry["n_features"])
         state = {name: _decode(entry) for name, entry in payload["params"].items()}
         model = MagiNet(ModelConfig.from_dict(payload["config"]), graph, normalizer=normalizer,
                         **geometry)
         model.params.load_state(state)
     # bad JSON or base64 (a ValueError), a wrong type or value, a missing key, or a model
     # it does not fit
-    except (AttributeError, KeyError, TypeError, ValueError, MagiNetError) as err:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, MagiNetError) as err:
         reason = f"no key {err}" if isinstance(err, KeyError) else str(err)
         raise InputError(f"{path}: not a valid checkpoint: {reason}") from None
     return model

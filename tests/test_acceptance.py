@@ -115,8 +115,8 @@ def test_criterion_1_gradient_suite():
             0).sum(axis=0).transpose((1, 0, 2)) * wr).sum(), {"x": xr, "y": yr})
         xk = leaf(3, 4)
         keep2 = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]])
-        check(lambda: ad.masked_select(ad.scale_by(xk, np.array([2.0, 1.0, 0.5, 1.5])), keep2).sum()
-              + ad.broadcast_to(xk.mean(axis=0), (5, 4)).sum(), {"x": xk})
+        check(lambda: ad.masked_select(xk * np.array([2.0, 1.0, 0.5, 1.5]), keep2).sum()
+              + (xk.mean(axis=0) * np.ones((5, 4))).sum(), {"x": xk})
         xg = leaf(3, 4, 2 * 2)
         wg = ad.constant(rng.standard_normal((3, 4, 2)))
         check(lambda: (ad.tanh_sigmoid_gate(xg) * wg).sum(), {"x": xg})

@@ -246,15 +246,41 @@ def test_suffix_broadcast_allowed():
     assert (x + b).shape == (2, 3, 4)
 
 
-def test_inner_broadcast_rejected():
-    with pytest.raises(ShapeError):
-        ad.add(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((2, 1, 4))))
+def test_grad_inner_broadcast():
+    # a (3, 1) column times a (3, 4) matrix: the column's gradient sums over the 4
+    a, b = rand_leaf(3, 1), rand_leaf(3, 4)
+    w = ad.constant(RNG.standard_normal((3, 4)))
+    assert (a * b).shape == (3, 4)
+    _assert_grads(lambda: (a * b * w).sum(), {"a": a, "b": b})
 
 
 def test_broadcast_to_gradient_sums():
     x = ad.parameter(np.array([1.0, 2.0]))
-    ad.broadcast_to(x, (3, 2)).sum().backward()
+    (x + np.zeros((3, 2))).sum().backward()
     assert np.allclose(x.grad, [3.0, 3.0])
+
+
+def test_add_and_mul_reject_shapes_that_do_not_broadcast_naming_both():
+    for op in (ad.add, ad.mul):
+        with pytest.raises(ShapeError, match=re.escape("(2, 3) and (2, 4)")):
+            op(ad.constant(np.ones((2, 3))), np.ones((2, 4)))
+
+
+def test_ndarray_on_the_left_gives_the_reflected_tensor():
+    for make, left in ((lambda t: np.ones((2, 3)) * t, lambda t: t * np.ones((2, 3))),
+                       (lambda t: np.ones(3) + t, lambda t: t + np.ones(3)),
+                       (lambda t: np.ones(3) - t, lambda t: -t + np.ones(3))):
+        grads = []
+        for build in (make, left):
+            t = ad.parameter(np.arange(6.0).reshape(2, 3))
+            out = build(t)
+            assert isinstance(out, ad.Tensor)
+            (out * out).sum().backward()
+            grads.append((out.data, t.grad))
+        assert np.array_equal(grads[0][0], grads[1][0])
+        assert np.array_equal(grads[0][1], grads[1][1])
+    with pytest.raises(TypeError):
+        np.ones((3, 2)) @ ad.parameter(np.ones((2, 2)))
 
 
 def test_masked_select_roundtrip():
@@ -322,18 +348,21 @@ def test_matmul_constant_operand_gets_no_gradient():
     assert np.allclose(b.grad, a.data.reshape(-1, 4).sum(axis=0)[:, None] * np.ones((1, 2)))
 
 
-def test_grad_scale_by_broadcasts_over_a_batch():
-    # a (3, 4) leaf scaled by a (2, 3, 1) factor: the result is (2, 3, 4)
+def test_grad_mul_by_a_constant_broadcasts_over_a_batch():
+    # a (3, 4) leaf times a (2, 3, 1) constant: the result is (2, 3, 4)
     x = rand_leaf(3, 4)
     factor = RNG.standard_normal((2, 3, 1))
     w = ad.constant(RNG.standard_normal((2, 3, 4)))
-    assert ad.scale_by(x, factor).shape == (2, 3, 4)
-    _assert_grads(lambda: (ad.scale_by(x, factor) * w).sum(), {"x": x})
+    assert (x * factor).shape == (2, 3, 4)
+    _assert_grads(lambda: (x * factor * w).sum(), {"x": x})
 
 
-def test_scale_by_rejects_shapes_that_do_not_broadcast():
-    with pytest.raises(ShapeError):
-        ad.scale_by(ad.constant(np.ones((2, 3))), np.ones((2, 4)))
+def test_mul_and_add_give_a_constant_operand_no_gradient():
+    x, c = rand_leaf(2, 3), ad.constant(RNG.standard_normal((4, 2, 3)))
+    for op in (ad.mul, ad.add):
+        out = op(x, c)
+        assert out._rule(np.ones(out.shape))[1] is None
+        assert op(c, x)._rule(np.ones(out.shape))[0] is None
 
 
 @pytest.mark.parametrize("padding", ["same", "valid"])
@@ -412,8 +441,8 @@ def test_grad_masked_ops():
     keep = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]])
 
     def build():
-        scaled = ad.scale_by(x, np.array([2.0, 1.0, 0.5, 1.5]))
-        return ad.masked_select(scaled, keep).sum() + ad.broadcast_to(x.mean(axis=0), (5, 4)).sum()
+        scaled = x * np.array([2.0, 1.0, 0.5, 1.5])
+        return ad.masked_select(scaled, keep).sum() + (x.mean(axis=0) * np.ones((5, 4))).sum()
 
     _assert_grads(build, {"x": x})
 

@@ -588,6 +588,23 @@ def test_eval_maginet_rmse_equals_train_test_rmse(tmp_path):
     assert row[0] == "maginet" and float(row[4]) == test_rmse
 
 
+def test_eval_width_other_than_the_checkpoints_exits_2_before_scoring(tmp_path, capsys):
+    series, adj = generate_tiny(tmp_path)
+    model = MagiNet(ModelConfig(d=4, heads=2, head_dim=2, spatial_dim=3, cheb_order=2,
+                                kernel_sizes=(3,), blocks=1),
+                    load_adjacency(adj, 6), width=8, n_features=1, seed=1)
+    checkpoint = tmp_path / "k.json"
+    save_checkpoint(checkpoint, model)
+    capsys.readouterr()
+    assert run(["eval", "--series", str(series), "--adj", str(adj), "--checkpoint",
+                str(checkpoint), "--methods", "mean,maginet", "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"input error: {checkpoint}: the model was trained on windows of width 8, "
+            "but --width is 12") in captured.err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------- sweep / ablate
 
 

@@ -491,6 +491,10 @@ def _with_first_data(payload, edit):
     return _with_first_param(payload, data=edit(first["data"]))
 
 
+def _with_normalizer(payload, **stats):
+    return {**payload, "normalizer": {**payload["normalizer"], **stats}}
+
+
 # each returns the JSON a spoiled checkpoint holds in place of the saved payload
 @pytest.mark.parametrize("spoil", [
     lambda payload: {**payload, "config": {**payload["config"], "heads": "3"}},
@@ -507,10 +511,23 @@ def _with_first_data(payload, edit):
     lambda payload: _with_first_data(payload, lambda text: text[:4] + "*" + text[4:]),
     lambda payload: _with_first_data(payload, lambda text: base64.b64encode(
         base64.b64decode(text)[:-4]).decode()),
+    lambda payload: {**payload, "width": payload["width"] + 0.9},
+    lambda payload: {**payload, "width": str(payload["width"])},
+    lambda payload: {**payload, "n_features": True},
+    lambda payload: {**payload, "seed": 9.0},
+    lambda payload: _with_normalizer(payload, mean=[0.0, 0.0, 0.0]),
+    lambda payload: _with_normalizer(payload, mean=[float("nan")]),
+    lambda payload: _with_normalizer(payload, mean=[10 ** 400]),
+    lambda payload: _with_normalizer(payload, mean=["0"]),
+    lambda payload: _with_normalizer(payload, std=[0.0]),
+    lambda payload: _with_normalizer(payload, std=[float("inf")]),
 ], ids=["heads-a-string", "no-config", "no-params", "no-normalizer-std", "width-not-a-number",
         "shape-not-fitting-data", "data-not-a-number", "a-list", "unknown-config-key",
         "heads-zero", "params-not-fitting-the-config", "data-bad-base64-character",
-        "data-bytes-not-fitting-the-shape"])
+        "data-bytes-not-fitting-the-shape", "width-a-fraction", "width-a-string",
+        "n-features-a-bool", "seed-a-float", "normalizer-mean-per-feature-count-wrong",
+        "normalizer-mean-nan", "normalizer-mean-beyond-float-range", "normalizer-mean-a-string",
+        "normalizer-std-zero", "normalizer-std-inf"])
 def test_malformed_checkpoint_is_an_input_error_naming_the_file(tmp_path, spoil):
     model = make_model(seed=9)
     model.normalizer = data.Normalizer(mean=np.zeros(1), std=np.ones(1))
@@ -560,10 +577,10 @@ def stacked(windows, attr):
 
 BATCH_CONFIGS = [{}, {"mask_mode": "multiply"}] + [
     {"ablations": frozenset({toggle})} for toggle in sorted(mm.ABLATIONS)]
+BATCH_IDS = ["default", "multiply"] + sorted(mm.ABLATIONS)
 
 
-@pytest.mark.parametrize("over", BATCH_CONFIGS,
-                         ids=["default", "multiply"] + sorted(mm.ABLATIONS))
+@pytest.mark.parametrize("over", BATCH_CONFIGS, ids=BATCH_IDS)
 def test_batched_forward_matches_per_window(over):
     # the default architecture (two blocks, three heads, kernels 3 and 5)
     model = mm.MagiNet(mm.ModelConfig(**over), ring(5), width=8, n_features=1, seed=3)
@@ -608,10 +625,11 @@ def test_batched_forward_gradients_match_finite_differences():
     assert max(errors.values()) < 1e-4, errors
 
 
-def test_batched_forward_masked_input_invariance():
+@pytest.mark.parametrize("over", BATCH_CONFIGS, ids=BATCH_IDS)
+def test_batched_forward_masked_input_invariance(over):
     # overwrite one window's m = 0 entries with values of every magnitude:
     # neither the output nor any attention weight may move by one bit
-    model = mm.MagiNet(mm.ModelConfig(), ring(5), width=8, n_features=1, seed=3)
+    model = mm.MagiNet(mm.ModelConfig(**over), ring(5), width=8, n_features=1, seed=3)
     ws = batch_windows()
     x, m = stacked(ws, "x"), stacked(ws, "m")
     base_internals = {}
@@ -624,8 +642,9 @@ def test_batched_forward_masked_input_invariance():
         internals = {}
         with ad.no_grad():
             assert np.array_equal(model.forward(fuzzed, m, internals).data, base)
-        for key in ("temporal_weights", "temporal_scores", "spatial_weights"):
-            for got, want in zip(internals[key], base_internals[key]):
+        assert internals.keys() == base_internals.keys()
+        for key, wanted in base_internals.items():
+            for got, want in zip(internals[key], wanted):
                 assert np.array_equal(got, want), key
 
 
