@@ -176,8 +176,11 @@ class Tensor:
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not a tape primitive; multiply by a reciprocal")
-        return mul(self, 1.0 / float(other))
+            raise ContractError("division by a tensor is not a tape primitive")
+        return mul(self, 1.0 / np.asarray(other, dtype=np.float64))
+
+    def __rtruediv__(self, other):
+        raise ContractError("division by a tensor is not a tape primitive")
 
     def __matmul__(self, other):
         return matmul(self, other)

@@ -217,8 +217,8 @@ class ModelParams:
 # ``del`` large ones once used and compute per head what they can: the
 # heap an N=207 pass grows, which glibc returns after the pass and
 # page-faults back in on the next, stays small, and so does what each
-# thread of ``training.predict_windows`` holds: one pass, on one thread
-# per usable CPU at 91 nodes and up, on one thread below.
+# worker process of ``training.predict_windows`` holds: one pass, on one
+# process per usable CPU at 91 nodes and up, in the caller's process below.
 
 
 def _permute(t: Tensor, *core: int) -> Tensor:

@@ -27,9 +27,9 @@ ADAM_EPS = 1e-8
 # Predicting, a forward pass takes at most EVAL_CHUNK windows and at most
 # EVAL_PAIR_BUDGET node pairs (windows x N^2): at 207 nodes a second window
 # doubles a pass's traced peak (2.88 -> 5.69 MB, default config) and saves
-# under 1% of its CPU time; each prediction thread holds one pass. Passes
-# the pair budget limits (91 nodes and up) run one thread per usable CPU;
-# passes of EVAL_CHUNK windows hold the GIL and run on one thread.
+# under 1% of its CPU time; each prediction worker process holds one pass.
+# Passes the pair budget limits (91 nodes and up) run on one forked worker
+# per usable CPU; passes of EVAL_CHUNK windows run in the calling process.
 EVAL_CHUNK = 8
 EVAL_PAIR_BUDGET = 65536
 
@@ -129,29 +129,54 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# The model and chunks of one predict_windows call, set in each of its worker
+# processes by _start_worker from what the fork handed down; the calling
+# process never sets it.
+_worker_job: tuple[MagiNet, list[list[IncompleteWindow]]] | None = None
+
+
+def _start_worker(model: MagiNet, chunks: list[list[IncompleteWindow]]) -> None:
+    global _worker_job
+    _worker_job = (model, chunks)
+
+
+def _predict_chunk(index: int) -> np.ndarray:
+    model, chunks = _worker_job
+    return model.predict(chunks[index])
+
+
 def predict_windows(model: MagiNet, windows: list[IncompleteWindow]) -> list[np.ndarray]:
     """``model.predict`` of each window, in original units: the one path that
     predicts windows, for validation, ``eval`` and ``impute``. A forward pass
     takes ``EVAL_CHUNK`` windows, fewer past ``EVAL_PAIR_BUDGET`` node pairs
     (8 at 16 nodes, 1 at 207); no window's prediction depends on the others.
 
-    The chunks run on a thread pool. When the pair budget sets the chunk
-    (91 nodes and up), the pool has one thread per usable CPU, at most one
-    per chunk: numpy releases the GIL for most of such a pass. Smaller
-    passes hold the GIL, and run on one thread.
+    When the pair budget sets the chunk (91 nodes and up), the chunks run on
+    a pool of worker processes, one per usable CPU and at most one per chunk,
+    forked so that they inherit the model and the windows: only a chunk's
+    index goes out and only its predictions come back. Not threads: they
+    share one GIL, which such a pass holds for much of its time (README,
+    "Training", has the timings). Smaller passes, one worker, or a platform
+    without the fork start method predict in this process.
     Predictions are gathered in chunk order, so they are the same bytes for
-    any thread count. Threads keep predicting until the caller reaches the
-    first failing chunk in order; its exception is raised, the one a single
-    thread would raise, the chunks not yet started are cancelled, and every
-    thread is joined.
+    any worker count. Workers keep predicting until the caller reaches the
+    first failing chunk in order; its error is raised, with the type and
+    message one process would raise, the chunks not yet started are
+    cancelled, and every worker is joined before this returns or raises.
     """
     per_pass = EVAL_PAIR_BUDGET // model.graph.n_nodes ** 2
     chunk = max(1, min(EVAL_CHUNK, per_pass))
     chunks = [windows[start:start + chunk] for start in range(0, len(windows), chunk)]
     workers = min(usable_cpus(), len(chunks)) if per_pass < EVAL_CHUNK else 1
-    from concurrent.futures import ThreadPoolExecutor   # deferred: only a prediction needs it
-    with ThreadPoolExecutor(max(1, workers)) as pool:
-        return [pred for chunk_preds in pool.map(model.predict, chunks) for pred in chunk_preds]
+    if workers > 1:
+        import multiprocessing   # deferred, as is the pool: only a pool needs them
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_start_worker, initargs=(model, chunks)) as pool:
+                return [pred for preds in pool.map(_predict_chunk, range(len(chunks)))
+                        for pred in preds]
+    return [pred for part in chunks for pred in model.predict(part)]
 
 
 def evaluate_model(model: MagiNet, windows: list[IncompleteWindow]) -> tuple[float, float]:

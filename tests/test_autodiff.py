@@ -357,6 +357,27 @@ def test_grad_mul_by_a_constant_broadcasts_over_a_batch():
     _assert_grads(lambda: (x * factor * w).sum(), {"x": x})
 
 
+def test_grad_div_by_an_array_broadcasts():
+    # a (2, 3, 4) leaf over a (3, 1) divisor, and a (3, 4) leaf over a
+    # (2, 1, 4) one broadcast as numpy does; each is a product with the
+    # reciprocal, and a number still divides
+    x, y = rand_leaf(2, 3, 4), rand_leaf(3, 4)
+    over_rows = RNG.uniform(0.5, 2.0, (3, 1))
+    over_batch = RNG.uniform(0.5, 2.0, (2, 1, 4))
+    assert np.array_equal((x / over_rows).data, x.data * (1.0 / over_rows))
+    assert (y / over_batch).shape == (2, 3, 4)
+    assert np.array_equal((x / 4.0).data, x.data * 0.25)
+    w = ad.constant(RNG.standard_normal((2, 3, 4)))
+    _assert_grads(lambda: ((x / over_rows + y / over_batch) * w).sum(), {"x": x, "y": y})
+
+
+def test_division_by_a_tensor_is_a_contract_error():
+    t = ad.parameter(np.arange(1.0, 4.0))
+    for divide in (lambda: t / ad.constant([2.0]), lambda: 2.0 / t, lambda: np.ones(3) / t):
+        with pytest.raises(ContractError, match="division by a tensor is not a tape primitive"):
+            divide()
+
+
 def test_mul_and_add_give_a_constant_operand_no_gradient():
     x, c = rand_leaf(2, 3), ad.constant(RNG.standard_normal((4, 2, 3)))
     for op in (ad.mul, ad.add):

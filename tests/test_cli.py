@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -295,7 +296,7 @@ def test_impute_tail_steps_are_imputed_not_copied(tmp_path):
 def test_impute_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
     # 245 steps at W=12: 20 full windows, then the right-aligned window over
     # the 5-step tail; under a pair budget shrunk to 3 windows of 6 nodes,
-    # seven chunks of 3 on a thread per CPU, the tail window last
+    # seven chunks of 3 on a worker process per CPU, the tail window last
     series, adj = generate_tiny(tmp_path, nodes=6, steps=245)
     out = tmp_path / "run"
     assert run(["train", "--series", str(series), "--adj", str(adj), "--ratio", "0.5",
@@ -308,17 +309,22 @@ def test_impute_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
     for cpus in (1, 4):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
                             raising=False)
-        threads = set()
+        log = tmp_path / f"pids{cpus}"
+        log.mkdir()
 
-        def predict(model, windows):
-            threads.add(threading.get_ident())
-            time.sleep(0.01)   # long enough for any idle thread to take the next chunk
+        def predict(model, windows, log=log):
+            # runs in the worker processes: one file per chunk, named by its process
+            (log / f"{os.getpid()}-{time.perf_counter_ns()}").touch()
+            time.sleep(0.01)   # long enough for any idle worker to take the next chunk
             return real_predict(model, windows)
 
         monkeypatch.setattr(MagiNet, "predict", predict)
         assert run(base + ["--out", str(tmp_path / f"imp{cpus}")]) == 0
         imputed[cpus] = (tmp_path / f"imp{cpus}" / "imputed.csv").read_bytes()
-        assert len(threads) == min(cpus, 7)
+        assert multiprocessing.active_children() == []
+        pids = {int(path.name.split("-")[0]) for path in log.iterdir()}
+        assert len(list(log.iterdir())) == 7 and len(pids) == min(cpus, 7)
+        assert (pids == {os.getpid()}) == (cpus == 1)
     assert imputed[1] == imputed[4]
 
 
@@ -334,7 +340,7 @@ sys.exit(main(sys.argv[2:]))
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_impute_same_bytes_on_one_cpu_and_on_every_usable_cpu(tmp_path):
     # 125 steps at W=12: 10 full windows and the tail window, in chunks of 4
-    # windows at 128 nodes, on a thread per usable CPU; with more than one
+    # windows at 128 nodes, on a worker process per usable CPU; with more than one
     # BLAS thread the products may round differently, in the last bits only
     series, adj = generate_tiny(tmp_path, nodes=128, steps=125, seed=3)
     assert run(["mask", "--series", str(series), "--ratio", "0.5", "--out", str(tmp_path)]) == 0
@@ -359,8 +365,8 @@ def test_impute_same_bytes_on_one_cpu_and_on_every_usable_cpu(tmp_path):
 
 def test_impute_nan_at_an_observed_entry_of_a_later_window_exits_2(tmp_path, monkeypatch, capsys):
     # 480 steps at W=12: 40 windows in ten chunks of 4 under a shrunk pair
-    # budget; the model's encoder rejects the NaN in whichever pool thread
-    # predicts that window
+    # budget; the model's encoder rejects the NaN in whichever worker
+    # process predicts that window
     series, adj = generate_tiny(tmp_path, nodes=6, steps=480)
     out = tmp_path / "run"
     assert run(["train", "--series", str(series), "--adj", str(adj), "--ratio", "0.5",
@@ -384,7 +390,7 @@ def test_impute_nan_at_an_observed_entry_of_a_later_window_exits_2(tmp_path, mon
     assert run(["impute", "--series", str(series), "--adj", str(adj),
                 "--checkpoint", str(out / "checkpoint.json"), "--out", str(tmp_path / "imp")]) == 2
     assert "input error: NaN at an observed position" in capsys.readouterr().err
-    assert set(threading.enumerate()) == before
+    assert set(threading.enumerate()) == before and multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------- eval

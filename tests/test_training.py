@@ -1,8 +1,9 @@
 import copy
+import multiprocessing
 import os
 import sys
-import threading
 import time
+import uuid
 
 import numpy as np
 import pytest
@@ -328,7 +329,7 @@ def test_hiding_epoch1_loss_deterministic():
 
 @pytest.mark.parametrize("n, per_call", [(16, [8, 8, 4]), (207, [1] * 20)])
 def test_predict_windows_chunk_follows_node_count(n, per_call, monkeypatch):
-    pin_cpus(monkeypatch, 1)   # one thread, so the calls arrive in chunk order
+    pin_cpus(monkeypatch, 1)   # one CPU: the chunks run in this process, in order
     model, windows, _, _ = tiny_setup(n=n, width=6, steps=6 * 30)
     windows = windows[:20]
     model.normalizer = data.Normalizer.fit(windows)
@@ -354,13 +355,32 @@ def test_predict_windows_chunk_follows_node_count(n, per_call, monkeypatch):
 
 def pass_windows(monkeypatch, n, per_pass):
     """Shrink the pair budget so a pass at ``n`` nodes takes ``per_pass``
-    windows: a budget-limited pass, run on one thread per usable CPU."""
+    windows: a budget-limited pass, run on one worker process per usable CPU."""
     assert per_pass < training.EVAL_CHUNK
     monkeypatch.setattr(training, "EVAL_PAIR_BUDGET", per_pass * n * n)
 
 
+def log_chunk(log, windows, chunk, note=""):
+    """Record, as a new file under ``log``, that this process started the
+    chunk whose first window is ``chunk[0]``, and return that window's
+    index. Spies run in the worker processes, so they report through
+    files, not through the test's memory."""
+    first = next(i for i, w in enumerate(windows) if w is chunk[0])
+    (log / f"{os.getpid()}-{first}-{uuid.uuid4().hex}").write_text(note)
+    return first
+
+
+def logged_chunks(log):
+    """(process id, first window's index, note) of each chunk ``log_chunk`` logged."""
+    found = []
+    for path in log.iterdir():
+        pid, first, _ = path.name.split("-")
+        found.append((int(pid), int(first), path.read_text()))
+    return found
+
+
 @pytest.mark.parametrize("n, count, chunks", [(16, 20, 3), (182, 6, 6)])
-def test_predict_windows_same_bytes_for_any_worker_count(n, count, chunks, monkeypatch):
+def test_predict_windows_same_bytes_for_any_worker_count(n, count, chunks, monkeypatch, tmp_path):
     # 16 nodes under a shrunk budget: chunks of 7, 7 and a short 6;
     # 182 nodes: one window per chunk under the default budget
     model, windows, _, _ = tiny_setup(n=n, width=6, steps=6 * 30)
@@ -371,50 +391,61 @@ def test_predict_windows_same_bytes_for_any_worker_count(n, count, chunks, monke
     runs = {}
     for cpus in (1, 4):
         pin_cpus(monkeypatch, cpus)
-        threads = set()
-        # each thread's first chunk waits until every thread has one, so
-        # the pool really runs min(cpus, chunks) threads at once
-        started = threading.Barrier(min(cpus, chunks))
+        log = tmp_path / f"cpus{cpus}"
+        log.mkdir()
+        seen = set()   # each forked worker holds its own copy
+        # each worker's first chunk waits until every worker has one, so
+        # the pool really runs min(cpus, chunks) processes at once
+        started = multiprocessing.get_context("fork").Barrier(min(cpus, chunks))
 
         def spy(chunk):
-            if threading.get_ident() not in threads:
-                threads.add(threading.get_ident())
+            log_chunk(log, windows, chunk)
+            if os.getpid() not in seen:
+                seen.add(os.getpid())
                 started.wait(timeout=30)
             return real_predict(chunk)
 
         model.predict = spy
         runs[cpus] = training.predict_windows(model, windows)
-        assert len(threads) == min(cpus, chunks)
+        assert multiprocessing.active_children() == []
+        pids = {pid for pid, _, _ in logged_chunks(log)}
+        assert len(pids) == min(cpus, chunks)
+        assert (os.getpid() in pids) == (cpus == 1)
     assert len(runs[1]) == len(runs[4]) == count
     for one, many in zip(runs[1], runs[4]):
         assert one.shape == many.shape and one.tobytes() == many.tobytes()
 
 
-@pytest.mark.parametrize("n, threads_used", [(16, 1), (90, 1), (91, 3)])
-def test_predict_windows_threads_only_for_budget_limited_passes(n, threads_used, monkeypatch):
-    # 20 windows: chunks of 8, 8 and 4 up to 90 nodes, whose passes hold
-    # the GIL and run on one thread; chunks of 7, 7 and 6 at 91 nodes,
-    # the first width the pair budget limits, one thread each
+@pytest.mark.parametrize("n, workers_used", [(16, 1), (90, 1), (91, 3)])
+def test_predict_windows_threads_only_for_budget_limited_passes(n, workers_used, monkeypatch,
+                                                               tmp_path):
+    # 20 windows: chunks of 8, 8 and 4 up to 90 nodes, whose passes run in
+    # this process; chunks of 7, 7 and 6 at 91 nodes, the first width the
+    # pair budget limits, one worker process each
     pin_cpus(monkeypatch, 4)
     model, windows, _, _ = tiny_setup(n=n, width=6, steps=6 * 30)
     windows = windows[:20]
     model.normalizer = data.Normalizer.fit(windows)
     real_predict = model.predict
-    threads = set()
 
     def spy(chunk):
-        threads.add(threading.get_ident())
-        time.sleep(0.05)   # long enough for any idle thread to take the next chunk
+        log_chunk(tmp_path, windows, chunk)
+        time.sleep(0.05)   # long enough for any idle worker to take the next chunk
         return real_predict(chunk)
 
     model.predict = spy
     training.predict_windows(model, windows)
-    assert len(threads) == threads_used
+    assert multiprocessing.active_children() == []
+    pids = {pid for pid, _, _ in logged_chunks(tmp_path)}
+    assert len(pids) == workers_used
+    assert (pids == {os.getpid()}) == (workers_used == 1)
 
 
-def test_predict_windows_raises_a_helper_threads_error_unchanged(monkeypatch):
-    # chunks of 4 on four pool threads; the second chunk ends in a window
-    # with a NaN at an observed entry, which the model's encoder rejects
+def test_predict_windows_raises_a_helper_threads_error_unchanged(monkeypatch, tmp_path):
+    # chunks of 4 on four worker processes; the second chunk ends in a window
+    # with a NaN at an observed entry, which the model's encoder rejects.
+    # The error comes back pickled, so it is the same type and message, not
+    # the same object
     pin_cpus(monkeypatch, 4)
     model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 30)
     windows = windows[:20]
@@ -422,33 +453,32 @@ def test_predict_windows_raises_a_helper_threads_error_unchanged(monkeypatch):
     windows[7] = with_nan_at_an_observed_entry(windows[7])
     pass_windows(monkeypatch, 16, 4)
     real_predict = model.predict
-    raised = []
 
     def predict(chunk):
         try:
             return real_predict(chunk)
         except InputError as err:
-            raised.append((threading.current_thread(), err))
+            log_chunk(tmp_path, windows, chunk, f"{type(err).__name__}: {err}")
             raise
 
     model.predict = predict
-    before = set(threading.enumerate())
     with pytest.raises(InputError, match="NaN at an observed position") as caught:
         training.predict_windows(model, windows)
-    ((thread, err),) = raised
-    assert thread is not threading.main_thread() and caught.value is err
-    assert set(threading.enumerate()) == before   # every pool thread was joined
+    ((pid, first, raised),) = logged_chunks(tmp_path)
+    assert pid != os.getpid() and first == 4
+    assert type(caught.value) is InputError and raised == f"InputError: {caught.value}"
+    assert multiprocessing.active_children() == []   # every worker was joined
 
 
 def test_predict_windows_raises_the_first_failing_chunks_error(monkeypatch):
-    # chunks of 4, 4, 4, 4 and 4 on four threads; the second and third
-    # fail, the third first
+    # chunks of 4, 4, 4, 4 and 4 on four worker processes; the second and
+    # third fail, the third first
     pin_cpus(monkeypatch, 4)
     model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 30)
     windows = windows[:20]
     pass_windows(monkeypatch, 16, 4)
     real_predict = model.predict
-    failures = {1: InputError("second chunk"), 2: InputError("third chunk")}
+    failures = {1: ContractError("second chunk"), 2: InputError("third chunk")}
 
     def predict(chunk):
         index = next(i for i, w in enumerate(windows) if w is chunk[0]) // 4
@@ -459,39 +489,40 @@ def test_predict_windows_raises_the_first_failing_chunks_error(monkeypatch):
         return real_predict(chunk)
 
     model.predict = predict
-    with pytest.raises(InputError) as caught:
+    with pytest.raises(ContractError) as caught:
         training.predict_windows(model, windows)
-    assert caught.value is failures[1]   # as one thread, taking the chunks in order, raises
+    # as one process, taking the chunks in order, raises
+    assert type(caught.value) is ContractError and str(caught.value) == "second chunk"
+    assert multiprocessing.active_children() == []
 
 
-def test_predict_windows_cancels_chunks_not_started_after_a_failure(monkeypatch):
-    # 20 chunks of one window on two threads; the first fails at once and
-    # every other one takes 0.2 s, so without the cancel all 20 would run
+def test_predict_windows_cancels_chunks_not_started_after_a_failure(monkeypatch, tmp_path):
+    # 20 chunks of one window on two worker processes; the first fails at
+    # once and every other one takes 0.2 s, so without the cancel all 20
+    # would run
     pin_cpus(monkeypatch, 2)
     model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 30)
     windows = windows[:20]
     pass_windows(monkeypatch, 16, 1)
     real_predict = model.predict
-    started = []
 
     def predict(chunk):
-        started.append(chunk[0])
-        if chunk[0] is windows[0]:
+        if log_chunk(tmp_path, windows, chunk) == 0:
             raise InputError("first chunk")
         time.sleep(0.2)
         return real_predict(chunk)
 
     model.predict = predict
-    before = set(threading.enumerate())
     with pytest.raises(InputError, match="first chunk"):
         training.predict_windows(model, windows)
-    assert len(started) < len(windows)
-    assert set(threading.enumerate()) == before
+    assert len(logged_chunks(tmp_path)) < len(windows)
+    assert multiprocessing.active_children() == []
 
 
-def test_predict_windows_stress_each_chunk_predicted_once(monkeypatch):
-    # more threads than cores and a very short switch interval: every chunk
-    # is taken by exactly one thread and its predictions land in its place
+def test_predict_windows_stress_each_chunk_predicted_once(monkeypatch, tmp_path):
+    # more worker processes than cores, and a very short switch interval
+    # for this process's threads: every chunk is taken by exactly one
+    # worker and its predictions land in its place
     model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 100)
     windows = windows[:66]   # chunks of 2 under a shrunk budget
     model.normalizer = data.Normalizer.fit(windows)
@@ -499,24 +530,53 @@ def test_predict_windows_stress_each_chunk_predicted_once(monkeypatch):
     pin_cpus(monkeypatch, 1)
     alone = training.predict_windows(model, windows)
     real_predict = model.predict
-    calls = []
-    threads = set()
+    log = tmp_path
 
     def spy(chunk):
-        calls.append(chunk[0])
-        threads.add(threading.get_ident())
+        log_chunk(log, windows, chunk)
         return real_predict(chunk)
 
     model.predict = spy
     pin_cpus(monkeypatch, 16)
+    pids = set()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
-            calls.clear()
+        for attempt in range(3):
+            log = tmp_path / f"attempt{attempt}"
+            log.mkdir()
             preds = training.predict_windows(model, windows)
-            assert sorted(map(id, calls)) == sorted(id(w) for w in windows[::2])
+            assert multiprocessing.active_children() == []
+            logged = logged_chunks(log)
+            assert sorted(first for _, first, _ in logged) == list(range(0, 66, 2))
             assert [p.tobytes() for p in preds] == [p.tobytes() for p in alone]
+            pids |= {pid for pid, _, _ in logged}
     finally:
         sys.setswitchinterval(interval)
-    assert len(threads) > 1
+    assert len(pids) > 1 and os.getpid() not in pids
+
+
+def test_predict_windows_without_the_fork_start_method_predicts_in_this_process(
+        monkeypatch, tmp_path):
+    # a budget-limited pass on four usable CPUs, where fork is unavailable
+    model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 30)
+    windows = windows[:20]
+    model.normalizer = data.Normalizer.fit(windows)
+    pass_windows(monkeypatch, 16, 4)
+    pin_cpus(monkeypatch, 1)
+    alone = training.predict_windows(model, windows)
+    real_predict = model.predict
+
+    def spy(chunk):
+        log_chunk(tmp_path, windows, chunk)
+        return real_predict(chunk)
+
+    model.predict = spy
+    pin_cpus(monkeypatch, 4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+    preds = training.predict_windows(model, windows)
+    assert multiprocessing.active_children() == []
+    logged = logged_chunks(tmp_path)
+    assert {pid for pid, _, _ in logged} == {os.getpid()}
+    assert sorted(first for _, first, _ in logged) == [0, 4, 8, 12, 16]
+    assert [p.tobytes() for p in preds] == [p.tobytes() for p in alone]
