@@ -276,8 +276,9 @@ def run_cell(cell: Cell, series: SeriesMatrix, graph: TrafficGraph, seed: int, *
 
 def _run_cells(cells: list[Cell], **context) -> EvalReport:
     """``run_cell`` of each cell in order: on one process per usable CPU, at most
-    one per cell, when that makes two or more, else in this one. Each cell draws
-    from its own seeds, so the rows are the same for any CPU count."""
+    one per cell, when that makes two or more, else in this one; a pooled cell
+    predicts in its own process, with no pool of its own. Each cell draws from
+    its own seeds, so the rows are the same for any CPU count."""
     from .training import usable_cpus   # deferred: training imports our metrics
     score = partial(run_cell, **context)
     workers = min(usable_cpus(), len(cells))

@@ -156,8 +156,10 @@ def predict_windows(model: MagiNet, windows: list[IncompleteWindow]) -> list[np.
     forked so that they inherit the model and the windows: only a chunk's
     index goes out and only its predictions come back. Not threads: they
     share one GIL, which such a pass holds for much of its time (README,
-    "Training", has the timings). Smaller passes, one worker, or a platform
-    without the fork start method predict in this process.
+    "Training", has the timings). Smaller passes, one worker, a process that
+    multiprocessing started (a sweep or ablate cell, whose sibling cells hold
+    the other CPUs) or a platform without the fork start method predict in
+    this process.
     Predictions are gathered in chunk order, so they are the same bytes for
     any worker count. Workers keep predicting until the caller reaches the
     first failing chunk in order; its error is raised, with the type and
@@ -170,7 +172,8 @@ def predict_windows(model: MagiNet, windows: list[IncompleteWindow]) -> list[np.
     workers = min(usable_cpus(), len(chunks)) if per_pass < EVAL_CHUNK else 1
     if workers > 1:
         import multiprocessing   # deferred, as is the pool: only a pool needs them
-        if "fork" in multiprocessing.get_all_start_methods():
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and multiprocessing.parent_process() is None):
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                      initializer=_start_worker, initargs=(model, chunks)) as pool:

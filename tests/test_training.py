@@ -2,6 +2,7 @@ import copy
 import multiprocessing
 import os
 import sys
+import threading
 import time
 import uuid
 
@@ -462,12 +463,14 @@ def test_predict_windows_raises_a_helper_threads_error_unchanged(monkeypatch, tm
             raise
 
     model.predict = predict
+    before = set(threading.enumerate())
     with pytest.raises(InputError, match="NaN at an observed position") as caught:
         training.predict_windows(model, windows)
     ((pid, first, raised),) = logged_chunks(tmp_path)
     assert pid != os.getpid() and first == 4
     assert type(caught.value) is InputError and raised == f"InputError: {caught.value}"
     assert multiprocessing.active_children() == []   # every worker was joined
+    assert set(threading.enumerate()) == before      # and so was every pool thread
 
 
 def test_predict_windows_raises_the_first_failing_chunks_error(monkeypatch):
@@ -513,10 +516,12 @@ def test_predict_windows_cancels_chunks_not_started_after_a_failure(monkeypatch,
         return real_predict(chunk)
 
     model.predict = predict
+    before = set(threading.enumerate())
     with pytest.raises(InputError, match="first chunk"):
         training.predict_windows(model, windows)
     assert len(logged_chunks(tmp_path)) < len(windows)
     assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) == before
 
 
 def test_predict_windows_stress_each_chunk_predicted_once(monkeypatch, tmp_path):
@@ -580,3 +585,43 @@ def test_predict_windows_without_the_fork_start_method_predicts_in_this_process(
     assert {pid for pid, _, _ in logged} == {os.getpid()}
     assert sorted(first for _, first, _ in logged) == [0, 4, 8, 12, 16]
     assert [p.tobytes() for p in preds] == [p.tobytes() for p in alone]
+
+
+# What a pool worker of the next test predicts: set before the pool forks it.
+_cell_job = None
+
+
+def _predict_in_a_cell():
+    model, windows = _cell_job
+    preds = training.predict_windows(model, windows)
+    return os.getpid(), [p.tobytes() for p in preds], multiprocessing.active_children()
+
+
+def test_predict_windows_in_a_pool_worker_predicts_in_that_process(monkeypatch, tmp_path):
+    # a sweep or ablate cell runs in a worker of its own process pool, with
+    # its sibling cells on the other CPUs: its budget-limited passes run in
+    # that worker, which starts no pool of its own
+    model, windows, _, _ = tiny_setup(n=16, width=6, steps=6 * 30)
+    windows = windows[:20]
+    model.normalizer = data.Normalizer.fit(windows)
+    pass_windows(monkeypatch, 16, 4)
+    pin_cpus(monkeypatch, 1)
+    alone = training.predict_windows(model, windows)
+    real_predict = model.predict
+
+    def spy(chunk):
+        log_chunk(tmp_path, windows, chunk)
+        return real_predict(chunk)
+
+    model.predict = spy
+    pin_cpus(monkeypatch, 4)
+    monkeypatch.setattr(sys.modules[__name__], "_cell_job", (model, windows))
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        cell, preds, cell_children = pool.submit(_predict_in_a_cell).result()
+    assert cell != os.getpid() and cell_children == []
+    logged = logged_chunks(tmp_path)
+    assert {pid for pid, _, _ in logged} == {cell}
+    assert sorted(first for _, first, _ in logged) == [0, 4, 8, 12, 16]
+    assert preds == [p.tobytes() for p in alone]
+    assert multiprocessing.active_children() == []
