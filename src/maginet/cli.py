@@ -5,11 +5,12 @@ error. Settings come from an optional JSON file (--config) with flag
 overrides on top; flags always win, and the file may hold keys a command
 ignores. Every command is deterministic given its flags and writes its
 files into --out (eval's traces into --traces); sweep and ablate run
-their rows on one process per usable CPU. Each output file starts with a
-comment line naming the run by content: the tool version, the
-subcommand, the non-path flags, a sha256 of each input file, and the
-seed a command draws from. No path or CPU count is recorded, so the
-same inputs and flags give the same bytes in any directory.
+their rows on one forked process per usable CPU, or in this one where
+the platform has no fork. Each output file starts with a comment line
+naming the run by content: the tool version, the subcommand, the
+non-path flags, a sha256 of each input file, and the seed a command
+draws from. No path or CPU count is recorded, so the same inputs and
+flags give the same bytes in any directory.
 
 Exit codes: 0 success, 1 usage, 2 input error, 3 numeric failure.
 """

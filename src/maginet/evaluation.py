@@ -19,6 +19,7 @@ from .data import (IncompleteWindow, SeriesMatrix, draw_eval_mask, make_windows,
 from .errors import ContractError, EmptyMaskError, InputError
 from .graph import TrafficGraph
 from .model import VARIANT_TOGGLES, MagiNet, ModelConfig
+from .parallel import fork_map
 
 MAPE_FLOOR = 1e-6  # |truth| below this is excluded from MAPE
 
@@ -275,18 +276,10 @@ def run_cell(cell: Cell, series: SeriesMatrix, graph: TrafficGraph, seed: int, *
 
 
 def _run_cells(cells: list[Cell], **context) -> EvalReport:
-    """``run_cell`` of each cell in order: on one process per usable CPU, at most
-    one per cell, when that makes two or more, else in this one; a pooled cell
-    predicts in its own process, with no pool of its own. Each cell draws from
-    its own seeds, so the rows are the same for any CPU count."""
-    from .training import usable_cpus   # deferred: training imports our metrics
-    score = partial(run_cell, **context)
-    workers = min(usable_cpus(), len(cells))
-    if workers < 2:
-        return EvalReport(rows=list(map(score, cells)))
-    from concurrent.futures import ProcessPoolExecutor   # deferred: only a pool needs it
-    with ProcessPoolExecutor(workers) as pool:
-        return EvalReport(rows=list(pool.map(score, cells)))
+    """``run_cell`` of each cell in order, through ``parallel.fork_map``: a
+    forked cell inherits the context and predicts in its own process. Each
+    cell draws from its own seeds, so the rows are the same for any CPU count."""
+    return EvalReport(rows=fork_map(partial(run_cell, **context), cells))
 
 
 def sensitivity_sweep(series: SeriesMatrix, graph: TrafficGraph, ratios: list[float],

@@ -9,7 +9,6 @@ matter how windows are grouped.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,7 @@ from .data import IncompleteWindow, Normalizer, hide_observed
 from .errors import ContractError, EmptyMaskError, NumericError
 from .evaluation import pooled_metrics
 from .model import MagiNet
+from .parallel import fork_map
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -28,8 +28,8 @@ ADAM_EPS = 1e-8
 # EVAL_PAIR_BUDGET node pairs (windows x N^2): at 207 nodes a second window
 # doubles a pass's traced peak (2.88 -> 5.69 MB, default config) and saves
 # under 1% of its CPU time; each prediction worker process holds one pass.
-# Passes the pair budget limits (91 nodes and up) run on one forked worker
-# per usable CPU; passes of EVAL_CHUNK windows run in the calling process.
+# Passes the pair budget limits (91 nodes and up) run through fork_map;
+# passes of EVAL_CHUNK windows run in the calling process.
 EVAL_CHUNK = 8
 EVAL_PAIR_BUDGET = 65536
 
@@ -121,65 +121,23 @@ class TrainResult:
     epochs_run: int = 0
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# The model and chunks of one predict_windows call, set in each of its worker
-# processes by _start_worker from what the fork handed down; the calling
-# process never sets it.
-_worker_job: tuple[MagiNet, list[list[IncompleteWindow]]] | None = None
-
-
-def _start_worker(model: MagiNet, chunks: list[list[IncompleteWindow]]) -> None:
-    global _worker_job
-    _worker_job = (model, chunks)
-
-
-def _predict_chunk(index: int) -> np.ndarray:
-    model, chunks = _worker_job
-    return model.predict(chunks[index])
-
-
 def predict_windows(model: MagiNet, windows: list[IncompleteWindow]) -> list[np.ndarray]:
     """``model.predict`` of each window, in original units: the one path that
     predicts windows, for validation, ``eval`` and ``impute``. A forward pass
     takes ``EVAL_CHUNK`` windows, fewer past ``EVAL_PAIR_BUDGET`` node pairs
     (8 at 16 nodes, 1 at 207); no window's prediction depends on the others.
 
-    When the pair budget sets the chunk (91 nodes and up), the chunks run on
-    a pool of worker processes, one per usable CPU and at most one per chunk,
-    forked so that they inherit the model and the windows: only a chunk's
-    index goes out and only its predictions come back. Not threads: they
-    share one GIL, which such a pass holds for much of its time (README,
-    "Training", has the timings). Smaller passes, one worker, a process that
-    multiprocessing started (a sweep or ablate cell, whose sibling cells hold
-    the other CPUs) or a platform without the fork start method predict in
-    this process.
-    Predictions are gathered in chunk order, so they are the same bytes for
-    any worker count. Workers keep predicting until the caller reaches the
-    first failing chunk in order; its error is raised, with the type and
-    message one process would raise, the chunks not yet started are
-    cancelled, and every worker is joined before this returns or raises.
+    When the pair budget sets the chunk (91 nodes and up), the chunks run
+    through ``parallel.fork_map``, on forked worker processes: threads would
+    share one GIL, which such a pass holds for much of its time. Either way
+    predictions come in chunk order, the same bytes for any worker count.
     """
     per_pass = EVAL_PAIR_BUDGET // model.graph.n_nodes ** 2
     chunk = max(1, min(EVAL_CHUNK, per_pass))
     chunks = [windows[start:start + chunk] for start in range(0, len(windows), chunk)]
-    workers = min(usable_cpus(), len(chunks)) if per_pass < EVAL_CHUNK else 1
-    if workers > 1:
-        import multiprocessing   # deferred, as is the pool: only a pool needs them
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and multiprocessing.parent_process() is None):
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_start_worker, initargs=(model, chunks)) as pool:
-                return [pred for preds in pool.map(_predict_chunk, range(len(chunks)))
-                        for pred in preds]
-    return [pred for part in chunks for pred in model.predict(part)]
+    parts = (fork_map(model.predict, chunks) if per_pass < EVAL_CHUNK
+             else [model.predict(part) for part in chunks])
+    return [pred for part in parts for pred in part]
 
 
 def evaluate_model(model: MagiNet, windows: list[IncompleteWindow]) -> tuple[float, float]:

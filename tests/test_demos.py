@@ -23,9 +23,10 @@ def test_demo_runs(script):
 @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
                     reason="no forkserver start method on this platform")
 def test_sweep_demo_runs_under_the_forkserver_start_method(tmp_path):
-    # forkserver is Python 3.14's default on Linux, and each of its pool workers
-    # imports the script. With one usable CPU the sweep runs in-process, so only
-    # 2 or more CPUs show a script that does its work at import.
+    # forkserver is Python 3.14's default on Linux, and each of its workers
+    # imports the script, which does its work at import. The sweep's cells
+    # fork whatever the default start method, so no worker imports it; with
+    # one usable CPU they run in-process, so only 2 or more CPUs check this.
     script = ROOT / "demos" / "05_baselines_and_sweep.py"
     copy = tmp_path / script.name
     copy.write_text("import multiprocessing\n"

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import numpy as np
@@ -410,6 +411,29 @@ def test_ablation_same_rows_on_one_and_two_usable_cpus(monkeypatch):
                                          train_config=train_cfg)
         rows.append([row.as_list()[:-1] for row in report.rows])   # all but runtime_s
     assert [row[0] for row in rows[0]] == ["MagiNet", "w/o MASTdec", "zero prefill"]
+    assert rows[0] == rows[1]
+
+
+def test_ablation_with_a_local_train_config_class_same_rows_on_one_and_two_usable_cpus(
+        monkeypatch):
+    # a class defined in a function cannot be pickled; forked cells inherit
+    # their context instead, so such a config gives the same rows on any CPU count
+    class LocalTrainConfig(TrainConfig):
+        pass
+
+    series, graph = small_series()
+    model_cfg, _ = fast_configs()
+    train_cfg = LocalTrainConfig(learning_rate=2e-3, epochs=2, batch_size=4, patience=5, seed=1,
+                                 hide_fraction=0.0)
+    rows = []
+    for cpus in (1, 2):
+        pin_cpus(monkeypatch, cpus)
+        report = evaluation.ablation_run(series, graph, ["w/o MASTdec"], seed=4, ratio=0.5,
+                                         width=12, stride=12, fractions=(0.7, 0.2, 0.1),
+                                         model_config=model_cfg, train_config=train_cfg)
+        assert multiprocessing.active_children() == []
+        rows.append([row.as_list()[:-1] for row in report.rows])   # all but runtime_s
+    assert [row[0] for row in rows[0]] == ["MagiNet", "w/o MASTdec"]
     assert rows[0] == rows[1]
 
 

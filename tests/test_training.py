@@ -418,7 +418,7 @@ def test_predict_windows_same_bytes_for_any_worker_count(n, count, chunks, monke
 
 
 @pytest.mark.parametrize("n, workers_used", [(16, 1), (90, 1), (91, 3)])
-def test_predict_windows_threads_only_for_budget_limited_passes(n, workers_used, monkeypatch,
+def test_predict_windows_workers_only_for_budget_limited_passes(n, workers_used, monkeypatch,
                                                                tmp_path):
     # 20 windows: chunks of 8, 8 and 4 up to 90 nodes, whose passes run in
     # this process; chunks of 7, 7 and 6 at 91 nodes, the first width the
@@ -442,7 +442,7 @@ def test_predict_windows_threads_only_for_budget_limited_passes(n, workers_used,
     assert (pids == {os.getpid()}) == (workers_used == 1)
 
 
-def test_predict_windows_raises_a_helper_threads_error_unchanged(monkeypatch, tmp_path):
+def test_predict_windows_raises_a_worker_process_error_unchanged(monkeypatch, tmp_path):
     # chunks of 4 on four worker processes; the second chunk ends in a window
     # with a NaN at an observed entry, which the model's encoder rejects.
     # The error comes back pickled, so it is the same type and message, not
