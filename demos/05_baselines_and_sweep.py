@@ -14,7 +14,7 @@ series = data.generate_synthetic(10, 1152, graph, seed=11)
 
 # Mean imputation fills a node's hidden slots with its observed average;
 # KNN borrows from the nearest nodes (RMS distance over co-observed steps).
-windows = data.window(series, 12, 12, ratio=0.5, seed=11)
+windows = data.make_windows(series, data.draw_eval_mask(series, 0.5, 11), 12, 12)
 w = windows[0]
 mean_hat = evaluation.mean_baseline(w)
 knn_hat = evaluation.knn_baseline(w, k=3)

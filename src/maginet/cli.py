@@ -6,11 +6,12 @@ overrides on top; flags always win, and the file may hold keys a command
 ignores. Every command is deterministic given its flags and writes its
 files into --out (eval's traces into --traces); sweep and ablate run
 their rows on one forked process per usable CPU, or in this one where
-the platform has no fork. Each output file starts with a comment line
-naming the run by content: the tool version, the subcommand, the
-non-path flags, a sha256 of each input file, and the seed a command
-draws from. No path or CPU count is recorded, so the same inputs and
-flags give the same bytes in any directory.
+the platform has no fork. Each output file but train's config.json
+(plain JSON) starts with a comment line naming the run by content: the
+tool version, the subcommand, the non-path flags, a sha256 of each
+input file, and the seed a command draws from. No path or CPU count is
+recorded, so the same inputs and flags give the same bytes in any
+directory.
 
 Exit codes: 0 success, 1 usage, 2 input error, 3 numeric failure.
 """
@@ -43,14 +44,6 @@ from .training import TrainConfig, evaluate_model, history_rows, predict_windows
 
 class UsageError(MagiNetError):
     pass
-
-
-_ITEM_TYPES = {"kernel_sizes": int, "ablations": str}  # element type of each list field
-
-
-def _is_a(value, kind: type) -> bool:
-    """JSON type check: bools are not numbers, and an integer is a valid float."""
-    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
@@ -118,32 +111,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = set(raw) - set(defaults)
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            kind = type(defaults[key])
-            if kind is tuple:
-                item = _ITEM_TYPES[key]
-                ok = isinstance(value, list) and all(_is_a(v, item) for v in value)
-                expected = f"a list of {item.__name__}"
-            else:
-                ok = _is_a(value, kind)
-                expected = kind.__name__
-            if not ok:
-                raise InputError(f"config key {key!r} must be {expected}, got {value!r}")
-        return cls(**raw)
+        return cls(**data.json_settings(raw, {f.name: f.default for f in fields(cls)}, "config"))
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with open(path, encoding="utf-8") as handle:
-                raw = json.load(handle)
+            raw = json.loads("\n".join(data.text_lines(path)))
         except FileNotFoundError:
             raise InputError(f"config file not found: {path}") from None
-        except UnicodeDecodeError:
-            raise InputError(f"{path}: not UTF-8 text") from None
         except json.JSONDecodeError as err:
             raise InputError(f"{path}: invalid JSON: {err}") from None
         if not isinstance(raw, dict):

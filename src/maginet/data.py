@@ -168,14 +168,6 @@ def make_windows(series: SeriesMatrix, eval_mask: np.ndarray, width: int, stride
     return windows
 
 
-def window(series: SeriesMatrix, width: int, stride: int, *, eval_mask: np.ndarray | None = None,
-           ratio: float = 0.0, seed: int = 0) -> list[IncompleteWindow]:
-    """Windowing entry point; draws a fresh MCAR mask unless one is given."""
-    if eval_mask is None:
-        eval_mask = draw_eval_mask(series, ratio, seed)
-    return make_windows(series, eval_mask, width, stride)
-
-
 def hide_observed(w: IncompleteWindow, fraction: float, rng: np.random.Generator) -> IncompleteWindow:
     """Hide floor(fraction * observed) random m = 1 positions of a window.
 
@@ -331,6 +323,47 @@ def generate_synthetic(n_nodes: int, n_steps: int, graph: TrafficGraph, seed: in
     return SeriesMatrix(values=smooth[:, :, None])
 
 
+# -- reading text files ----------------------------------------------------------
+
+
+def text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file from its first line that is neither
+    blank nor a ``#`` comment: how maginet reads its series, mask, config
+    and checkpoint files."""
+    try:
+        # universal newlines end lines where csv.reader ends rows
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
+    start = next((i for i, line in enumerate(lines) if line and not line.startswith("#")), len(lines))
+    return lines[start:]
+
+
+def json_settings(raw: dict, defaults: dict, what: str) -> dict:
+    """``raw``, a JSON object of settings, once each of its keys is one of
+    ``defaults`` and each value has the JSON type of that key's default.
+
+    Booleans are not numbers and an integer is a valid float. A list or
+    tuple default takes a list (or tuple) of items of its items' type;
+    the one that defaults to empty, the ablation names, takes strings.
+    """
+    unknown = set(raw) - set(defaults)
+    if unknown:
+        raise InputError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        default = defaults[key]
+        listed = isinstance(default, (list, tuple))
+        kind = (type(default[0]) if default else str) if listed else type(default)
+        accepted = (int, float) if kind is float else kind
+        items = value if listed else [value]
+        if (listed and not isinstance(value, (list, tuple))
+                or not all(not isinstance(v, bool) and isinstance(v, accepted) for v in items)):
+            expected = f"a list of {kind.__name__}" if listed else kind.__name__
+            raise InputError(f"{what} key {key!r} must be {expected}, got {value!r}")
+    return raw
+
+
 # -- CSV formats ---------------------------------------------------------------
 
 
@@ -361,16 +394,10 @@ def save_series_csv(path, series: SeriesMatrix, comment: str | None = None) -> N
 
 def _read_csv(path, kind: str) -> tuple[list[str], list[str]]:
     """A CSV's header's cells, after any leading ``#`` comment lines, and the lines after it."""
-    try:
-        # universal newlines end lines where csv.reader ends rows
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
-    except UnicodeDecodeError:
-        raise InputError(f"{path}: not UTF-8 text") from None
-    start = next((i for i, line in enumerate(lines) if line and not line.startswith("#")), None)
-    if start is None:
+    lines = text_lines(path)
+    if not lines:
         raise InputError(f"{path}: empty {kind} file")
-    return next(csv.reader([lines[start]])), lines[start + 1:]
+    return next(csv.reader(lines[:1])), lines[1:]
 
 
 # in ",line," a comma starts every cell and another ends it

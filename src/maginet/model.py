@@ -9,10 +9,11 @@ input through attention-modulated Chebyshev graph convolution, and
 refines along time with gated convolutions; block outputs are summed and
 projected back to feature space by a two-layer head.
 
-Masked keys receive exactly zero attention weight in the default
-``neg_inf`` mode, which is what makes the output bit-invariant to values
-stored at unobserved positions. The literal multiplicative masking of
-the scores is kept as ``mask_mode="multiply"``.
+The output is bit-invariant to values stored at unobserved positions in
+both masking modes, because the encoder reads the input only as
+``x * m3``. Masked keys receive exactly zero attention weight only in
+the default ``neg_inf`` mode; the literal multiplicative masking of the
+scores is kept as ``mask_mode="multiply"``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import IncompleteWindow, Normalizer, node_means
+from .data import IncompleteWindow, Normalizer, json_settings, node_means, text_lines
 from .errors import ContractError, InputError, MagiNetError
 from .graph import ChebyshevBasis, TrafficGraph, build_basis
 
@@ -94,11 +95,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise InputError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**raw)  # __post_init__ turns the JSON lists into a tuple and a frozenset
+        # __post_init__ turns the JSON lists into a tuple and a frozenset
+        return cls(**json_settings(raw, cls().to_dict(), "model config"))
 
 
 class ModelParams:
@@ -521,13 +519,6 @@ def _decode(entry: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
-def _json_int(payload: dict, key: str) -> int:
-    value = payload[key]
-    if type(value) is not int:   # int() would take 8.9, "12" and true
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _decode_normalizer(stats: dict, n_features: int) -> Normalizer:
     """``n_features`` finite means and as many finite, positive stds."""
     arrays = {}
@@ -563,19 +554,20 @@ def save_checkpoint(path, model: MagiNet, comment: str | None = None) -> None:
         handle.write("\n")
 
 
+# the checkpoint's integer settings; json_settings reads only the type of each value
+_SETTINGS = dict.fromkeys(("format_version", "width", "n_features", "seed"), 0)
+
+
 def load_checkpoint(path, graph: TrafficGraph) -> MagiNet:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except UnicodeDecodeError:
-        raise InputError(f"{path}: not UTF-8 text") from None
-    body = "\n".join(line for line in lines if not line.startswith("#"))
+    body = "\n".join(text_lines(path))
     try:
         payload = json.loads(body)
-        if payload.get("format_version") != CHECKPOINT_VERSION:
+        settings = json_settings({key: value for key, value in payload.items() if key in _SETTINGS},
+                                 _SETTINGS, "checkpoint")
+        if settings.get("format_version") != CHECKPOINT_VERSION:
             raise InputError(f"unsupported checkpoint version {payload.get('format_version')!r} "
                              f"(this maginet reads version {CHECKPOINT_VERSION})")
-        geometry = {key: _json_int(payload, key) for key in ("width", "n_features", "seed")}
+        geometry = {key: settings[key] for key in ("width", "n_features", "seed")}
         normalizer = None
         if payload.get("normalizer"):
             normalizer = _decode_normalizer(payload["normalizer"], geometry["n_features"])

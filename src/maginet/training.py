@@ -55,6 +55,8 @@ class TrainConfig:
             raise ContractError("batch_size must be >= 1")
         if not 0.0 <= self.hide_fraction < 1.0:
             raise ContractError("hide_fraction must lie in [0, 1)")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ContractError("grad_clip must be None (no clipping) or > 0")
 
 
 def masked_l1_loss(xhat: Tensor, xtilde, eval_mask) -> Tensor:

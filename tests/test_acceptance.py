@@ -51,7 +51,7 @@ def tiny_model_setup():
     """The pinned gradient-check instance: N=4, W=8, C=1, d=4, m=2, K=2, L=1."""
     graph = data.synthetic_graph(4, extra_edges=1, seed=0)
     series = data.generate_synthetic(4, 32, graph, seed=0, period=16)
-    w = data.window(series, 8, 8, ratio=0.4, seed=0)[0]
+    w = data.make_windows(series, data.draw_eval_mask(series, 0.4, 0), 8, 8)[0]
     config = ModelConfig(d=4, heads=2, head_dim=2, spatial_dim=4, cheb_order=2,
                          kernel_sizes=(3,), blocks=1)
     model = MagiNet(config, graph, width=8, n_features=1, seed=0)

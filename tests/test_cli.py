@@ -836,16 +836,34 @@ def test_mistyped_config_value_exits_2_naming_the_key(tmp_path, capsys, config, 
     ({"ratio": 1}, True), ({"width": 12.0}, False), ({"seed": True}, False),
     ({"learning_rate": False}, False), ({"kernel_sizes": [3, 5.0]}, False),
     ({"ablations": ["no_gtconv", 1]}, False), ({"mask_mode": 0}, False),
+    ('# note\n{"ratio": 0.5}\n', True),
 ], ids=["int_as_float", "float_as_int", "bool_as_int", "bool_as_float", "float_in_int_list",
-        "int_in_str_list", "int_as_str"])
+        "int_in_str_list", "int_as_str", "comment_line_first"])
 def test_config_value_types(tmp_path, value, accepted):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(value))
+    path.write_text(value if isinstance(value, str) else json.dumps(value))
     if accepted:
         cli.RunConfig.from_file(path)
     else:
         with pytest.raises(InputError, match="must be"):
             cli.RunConfig.from_file(path)
+
+
+def test_eval_reads_the_config_that_train_writes(tmp_path):
+    series, adj = generate_tiny(tmp_path, steps=240)
+    flags = ["--ratio", "0.5", "--width", "12", "--seed", "2"]
+    run_dir = tmp_path / "run"
+    assert run(["train", "--series", str(series), "--adj", str(adj), "--out", str(run_dir)]
+               + flags + TRAIN_FAST) == 0
+    reports = []
+    for settings in (["--config", str(run_dir / "config.json")], flags):
+        out = tmp_path / f"eval{len(reports)}"
+        assert run(["eval", "--series", str(series), "--adj", str(adj), "--checkpoint",
+                    str(run_dir / "checkpoint.json"), "--methods", "mean,maginet",
+                    "--out", str(out)] + settings) == 0
+        lines = (out / "report.csv").read_text().splitlines()[1:]
+        reports.append([",".join(line.split(",")[:-1]) for line in lines])  # drop runtime
+    assert len(reports[0]) == 3 and reports[0] == reports[1]
 
 
 def test_flags_override_config(tmp_path):

@@ -63,22 +63,26 @@ def test_eval_mask_only_hides_observed():
 
 def test_window_counts_paper_protocol():
     series = toy_series(steps=24)
-    assert len(data.window(series, 12, 12)) == 2
-    starts = [w.window_start for w in data.window(series, 12, 12)]
+    windows = data.make_windows(series, data.draw_eval_mask(series, 0.0, 0), 12, 12)
+    assert len(windows) == 2
+    starts = [w.window_start for w in windows]
     assert starts == [0, 12]
 
 
 def test_window_drops_trailing_partial():
-    assert len(data.window(toy_series(steps=25), 12, 12)) == 2
+    series = toy_series(steps=25)
+    assert len(data.make_windows(series, data.draw_eval_mask(series, 0.0, 0), 12, 12)) == 2
 
 
 def test_window_whole_series_is_one_window():
-    assert len(data.window(toy_series(steps=20), 20, 20)) == 1
+    series = toy_series(steps=20)
+    assert len(data.make_windows(series, data.draw_eval_mask(series, 0.0, 0), 20, 20)) == 1
 
 
 def test_window_width_exceeding_steps_rejected():
+    series = toy_series(steps=10)
     with pytest.raises(InputError):
-        data.window(toy_series(steps=10), 12, 12)
+        data.make_windows(series, data.draw_eval_mask(series, 0.0, 0), 12, 12)
 
 
 def test_window_partition_property():
@@ -140,7 +144,8 @@ def test_split_rejects_negative_fraction():
 
 
 def test_normalizer_roundtrip_and_clamp():
-    windows = data.window(toy_series(steps=24, seed=5), 12, 12, ratio=0.4, seed=2)
+    series = toy_series(steps=24, seed=5)
+    windows = data.make_windows(series, data.draw_eval_mask(series, 0.4, 2), 12, 12)
     norm = data.Normalizer.fit(windows)
     x = np.array([1.0, 4.5, 8.0])
     assert np.allclose(norm.inverse(norm.transform(x)), x, atol=1e-10)

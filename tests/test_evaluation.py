@@ -462,7 +462,7 @@ def test_ablation_unknown_variant_rejected():
 
 def test_report_csv_and_traces(tmp_path):
     series, graph = small_series()
-    windows = data.window(series, 12, 12, ratio=0.5, seed=5)
+    windows = data.make_windows(series, data.draw_eval_mask(series, 0.5, 5), 12, 12)
     preds = [evaluation.mean_baseline(w) for w in windows[:2]]
     traces = evaluation.imputation_traces(windows[:2], preds)
     assert set(traces) == set(range(series.n_nodes))

@@ -521,13 +521,17 @@ def _with_normalizer(payload, **stats):
     lambda payload: _with_normalizer(payload, mean=["0"]),
     lambda payload: _with_normalizer(payload, std=[0.0]),
     lambda payload: _with_normalizer(payload, std=[float("inf")]),
+    lambda payload: {**payload, "config": {**payload["config"], "blocks": True}},
+    lambda payload: {**payload, "config": {**payload["config"], "kernel_sizes": [3.7]}},
+    lambda payload: {**payload, "format_version": 2.0},
 ], ids=["heads-a-string", "no-config", "no-params", "no-normalizer-std", "width-not-a-number",
         "shape-not-fitting-data", "data-not-a-number", "a-list", "unknown-config-key",
         "heads-zero", "params-not-fitting-the-config", "data-bad-base64-character",
         "data-bytes-not-fitting-the-shape", "width-a-fraction", "width-a-string",
         "n-features-a-bool", "seed-a-float", "normalizer-mean-per-feature-count-wrong",
         "normalizer-mean-nan", "normalizer-mean-beyond-float-range", "normalizer-mean-a-string",
-        "normalizer-std-zero", "normalizer-std-inf"])
+        "normalizer-std-zero", "normalizer-std-inf", "blocks-a-bool", "kernel-sizes-a-fraction",
+        "format-version-a-float"])
 def test_malformed_checkpoint_is_an_input_error_naming_the_file(tmp_path, spoil):
     model = make_model(seed=9)
     model.normalizer = data.Normalizer(mean=np.zeros(1), std=np.ones(1))
@@ -783,7 +787,7 @@ def test_predict_at_metr_width_peaks_at_most_3_mib():
     # 4.85 MiB before its intermediates were released as soon as used
     graph = data.synthetic_graph(207, extra_edges=200, seed=1)
     series = data.generate_synthetic(207, 36, graph, seed=3)
-    first, second = data.window(series, 12, 12, ratio=0.5, seed=3)[:2]
+    first, second = data.make_windows(series, data.draw_eval_mask(series, 0.5, 3), 12, 12)[:2]
     model = mm.MagiNet(mm.ModelConfig(), graph, width=12, n_features=1, seed=3,
                        normalizer=data.Normalizer.fit([first]))
     model.predict([first])   # warm-up: first-call allocations are not the pass's

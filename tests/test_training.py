@@ -34,7 +34,7 @@ def with_nan_at_an_observed_entry(window):
 def tiny_setup(n=4, width=8, steps=64, seed=1, ratio=0.4):
     graph = data.synthetic_graph(n, extra_edges=1, seed=seed)
     series = data.generate_synthetic(n, steps, graph, seed=seed, period=16)
-    windows = data.window(series, width, width, ratio=ratio, seed=seed)
+    windows = data.make_windows(series, data.draw_eval_mask(series, ratio, seed), width, width)
     train_ws, valid_ws, test_ws = data.split(windows, (0.7, 0.2, 0.1))
     config = ModelConfig(d=4, heads=2, head_dim=2, spatial_dim=3, cheb_order=2,
                          kernel_sizes=(3,), blocks=1)
@@ -263,12 +263,20 @@ def test_hide_fraction_outside_unit_interval_rejected(fraction):
         training.TrainConfig(hide_fraction=fraction)
 
 
+@pytest.mark.parametrize("clip", [0.0, -1.0])
+def test_grad_clip_not_above_zero_rejected(clip):
+    # Adam would leave every parameter in place at 0 and step uphill below it
+    with pytest.raises(ContractError):
+        training.TrainConfig(grad_clip=clip)
+
+
 def test_hide_observed_draws_only_observed_positions():
     graph = data.synthetic_graph(5, seed=2)
     values = np.array(data.generate_synthetic(5, 40, graph, seed=2).values)
     values[1, 3:9, :] = np.nan  # natively missing stretch
     values[4, ::5, :] = np.nan
-    windows = data.window(data.SeriesMatrix(values=values), 20, 20, ratio=0.3, seed=2)
+    series = data.SeriesMatrix(values=values)
+    windows = data.make_windows(series, data.draw_eval_mask(series, 0.3, 2), 20, 20)
     rng = np.random.default_rng(0)
     for w in windows:
         for _ in range(20):
