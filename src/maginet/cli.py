@@ -126,7 +126,7 @@ class RunConfig:
         return cls.from_dict(raw)
 
     def to_file(self, path) -> None:
-        with open(path, "w") as handle:
+        with data.text_file(path) as handle:
             json.dump(asdict(self), handle, indent=2, sort_keys=True)  # tuples as lists
             handle.write("\n")
 
@@ -198,8 +198,8 @@ def _listed(values, flag: str):
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    flags = {f.name: value for f in fields(RunConfig) if (value := getattr(args, f.name, None)) is not None}
+    return RunConfig.from_dict(asdict(replace(cfg, **flags)))  # flags pass the file's rule too
 
 
 def _require(path, what: str) -> Path:

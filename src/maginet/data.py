@@ -14,12 +14,12 @@ import csv
 import math
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, InputError
-from .graph import TrafficGraph
 
 
 @dataclass(frozen=True)
@@ -274,6 +274,7 @@ class Normalizer:
 
 def synthetic_graph(n_nodes: int, extra_edges: int = 0, seed: int = 0) -> TrafficGraph:
     """Ring lattice plus a few seeded random chords, unit weights."""
+    from .graph import TrafficGraph  # deferred, as in every annotation here: graph imports this module
     if n_nodes < 2:
         raise ContractError(f"synthetic graph needs at least 2 nodes, got {n_nodes}")
     adj = np.zeros((n_nodes, n_nodes))
@@ -307,6 +308,8 @@ def generate_synthetic(n_nodes: int, n_steps: int, graph: TrafficGraph, seed: in
         raise ContractError(f"graph has {graph.n_nodes} nodes, expected {n_nodes}")
     if period < 1:
         raise ContractError(f"period must be >= 1, got {period}")
+    if noise < 0:
+        raise ContractError(f"noise must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     if phases is None:
         phases = rng.uniform(0.0, 2.0 * np.pi, n_nodes)
@@ -323,13 +326,13 @@ def generate_synthetic(n_nodes: int, n_steps: int, graph: TrafficGraph, seed: in
     return SeriesMatrix(values=smooth[:, :, None])
 
 
-# -- reading text files ----------------------------------------------------------
+# -- text files ------------------------------------------------------------------
 
 
 def text_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file from its first line that is neither
-    blank nor a ``#`` comment: how maginet reads its series, mask, config
-    and checkpoint files."""
+    """Every line of a UTF-8 text file, the ``#`` lines before its first other
+    non-blank line blanked so that line numbers count from the top: how maginet
+    reads its series, mask, adjacency, config and checkpoint files."""
     try:
         # universal newlines end lines where csv.reader ends rows
         with open(path, encoding="utf-8") as handle:
@@ -337,16 +340,26 @@ def text_lines(path) -> list[str]:
     except UnicodeDecodeError:
         raise InputError(f"{path}: not UTF-8 text") from None
     start = next((i for i, line in enumerate(lines) if line and not line.startswith("#")), len(lines))
-    return lines[start:]
+    return [""] * start + lines[start:]
+
+
+@contextmanager
+def text_file(path, comment: str | None = None):
+    """A UTF-8 text file open for writing, with no newline translation,
+    after a ``# comment`` line when one is given: how maginet writes its files."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        if comment:
+            handle.write(f"# {comment}\n")
+        yield handle
 
 
 def json_settings(raw: dict, defaults: dict, what: str) -> dict:
     """``raw``, a JSON object of settings, once each of its keys is one of
     ``defaults`` and each value has the JSON type of that key's default.
 
-    Booleans are not numbers and an integer is a valid float. A list or
-    tuple default takes a list (or tuple) of items of its items' type;
-    the one that defaults to empty, the ablation names, takes strings.
+    Booleans are not numbers, an integer is a valid float and a float must be
+    finite. A list or tuple default takes a list (or tuple) of items of its
+    items' type; the one that defaults to empty, the ablation names, takes strings.
     """
     unknown = set(raw) - set(defaults)
     if unknown:
@@ -361,6 +374,9 @@ def json_settings(raw: dict, defaults: dict, what: str) -> dict:
                 or not all(not isinstance(v, bool) and isinstance(v, accepted) for v in items)):
             expected = f"a list of {kind.__name__}" if listed else kind.__name__
             raise InputError(f"{what} key {key!r} must be {expected}, got {value!r}")
+        # NaN fails every comparison, and an integer past float64's range fails this one
+        if kind is float and not all(abs(v) <= np.finfo(np.float64).max for v in items):
+            raise InputError(f"{what} key {key!r} must be a finite number, got {value!r}")
     return raw
 
 
@@ -370,9 +386,7 @@ def json_settings(raw: dict, defaults: dict, what: str) -> dict:
 def write_rows(path, rows: list[list], comment: str | None = None) -> None:
     """A CSV of ``str`` of each cell, quoted where it needs to be, after a
     ``# comment`` line when one is given."""
-    with open(path, "w", newline="") as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
+    with text_file(path, comment) as handle:
         csv.writer(handle, lineterminator="\n").writerows([str(cell) for cell in row] for row in rows)
 
 
@@ -382,9 +396,7 @@ def save_series_csv(path, series: SeriesMatrix, comment: str | None = None) -> N
     Cells hold ``repr`` of each value; a missing (NaN) value is an empty cell.
     """
     n, c = series.n_nodes, series.n_features
-    with open(path, "w", newline="") as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
+    with text_file(path, comment) as handle:
         header = [f"node{i}_f{j}" for j in range(c) for i in range(n)]
         handle.write(",".join(header) + "\n")
         # "nan" is the only repr of a float that contains that substring
@@ -393,11 +405,12 @@ def save_series_csv(path, series: SeriesMatrix, comment: str | None = None) -> N
 
 
 def _read_csv(path, kind: str) -> tuple[list[str], list[str]]:
-    """A CSV's header's cells, after any leading ``#`` comment lines, and the lines after it."""
+    """A CSV's header's cells, from its first line neither blank nor ``#``, and the lines after it."""
     lines = text_lines(path)
-    if not lines:
+    start = next((i for i, line in enumerate(lines) if line), len(lines))
+    if start == len(lines):
         raise InputError(f"{path}: empty {kind} file")
-    return next(csv.reader(lines[:1])), lines[1:]
+    return next(csv.reader(lines[start:start + 1])), lines[start + 1:]
 
 
 # in ",line," a comma starts every cell and another ends it
@@ -492,9 +505,7 @@ def save_mask_csv(path, mask: np.ndarray, seed: int, ratio: float, comment: str 
     for a reader (``load_mask_csv`` skips it)."""
     mask = np.asarray(mask)
     n, _ = mask.shape
-    with open(path, "w", newline="") as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
+    with text_file(path, comment) as handle:
         handle.write(f"# seed={seed} ratio={repr(float(ratio))}\n")
         handle.write(",".join(f"node{i}" for i in range(n)) + "\n")
         for row in mask.T:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import text_lines, write_rows
 from .errors import ContractError, InputError, ShapeError
 
 EDGELESS_LAMBDA = 2.0  # fallback so L~ stays defined for (near-)edgeless graphs
@@ -100,28 +101,22 @@ def build_basis(graph: TrafficGraph, order: int) -> ChebyshevBasis:
 def load_adjacency(path, n_nodes: int) -> TrafficGraph:
     """Read an edge-list CSV (header src,dst,weight) into a TrafficGraph.
 
-    Edges are symmetrized with max(A, A^T). Duplicate directed edges with
-    conflicting weights are rejected rather than silently overwritten;
-    self-loops are stripped.
+    Blank and ``#`` lines are skipped, and an error names its line counted
+    from the top of the file. Edges are symmetrized with max(A, A^T).
+    Duplicate directed edges with conflicting weights are rejected rather
+    than silently overwritten; self-loops are stripped.
     """
     adj = np.zeros((n_nodes, n_nodes))
     seen: dict[tuple[int, int], float] = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-    except UnicodeDecodeError:
-        raise InputError(f"{path}: not UTF-8 text") from None
-    lineno = 0
-    header_done = False
-    for row in rows:
-        lineno += 1
-        if not row or row[0].startswith("#"):
-            continue
-        if not header_done:
-            if [c.strip().lower() for c in row] != ["src", "dst", "weight"]:
-                raise InputError(f"{path}: line {lineno}: expected header 'src,dst,weight'")
-            header_done = True
-            continue
+    # each line ends in a newline, as the file's did, for a quoted cell that spans lines
+    lines = csv.reader(line + "\n" for line in text_lines(path))
+    rows = [(lineno, row) for lineno, row in enumerate(lines, 1) if row and not row[0].startswith("#")]
+    if not rows:
+        raise InputError(f"{path}: missing header 'src,dst,weight'")
+    (lineno, header), *edges = rows
+    if [c.strip().lower() for c in header] != ["src", "dst", "weight"]:
+        raise InputError(f"{path}: line {lineno}: expected header 'src,dst,weight'")
+    for lineno, row in edges:
         if len(row) != 3:
             raise InputError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
         try:
@@ -142,19 +137,12 @@ def load_adjacency(path, n_nodes: int) -> TrafficGraph:
             )
         seen[key] = weight
         adj[src, dst] = weight
-    if not header_done:
-        raise InputError(f"{path}: missing header 'src,dst,weight'")
     return TrafficGraph(np.maximum(adj, adj.T))
 
 
 def save_adjacency(path, graph: TrafficGraph, comment: str | None = None) -> None:
-    with open(path, "w", newline="") as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["src", "dst", "weight"])
-        adj = graph.adjacency
-        for i in range(graph.n_nodes):
-            for j in range(i + 1, graph.n_nodes):
-                if adj[i, j] != 0.0:
-                    writer.writerow([i, j, repr(float(adj[i, j]))])
+    """Write ``load_adjacency``'s format: each edge once, i < j, in row-major order."""
+    src, dst = np.nonzero(np.triu(graph.adjacency, 1))
+    weights = graph.adjacency[src, dst].tolist()
+    write_rows(path, [["src", "dst", "weight"]]
+               + [[i, j, repr(w)] for i, j, w in zip(src.tolist(), dst.tolist(), weights)], comment)

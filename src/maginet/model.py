@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import IncompleteWindow, Normalizer, json_settings, node_means, text_lines
+from .data import IncompleteWindow, Normalizer, json_settings, node_means, text_file, text_lines
 from .errors import ContractError, InputError, MagiNetError
 from .graph import ChebyshevBasis, TrafficGraph, build_basis
 
@@ -547,9 +547,7 @@ def save_checkpoint(path, model: MagiNet, comment: str | None = None) -> None:
         "params": {name: {"shape": list(t.shape), "data": _encode(t.data)}
                    for name, t in model.params.items()},
     }
-    with open(path, "w") as handle:
-        if comment:
-            handle.write(f"# {comment}\n")
+    with text_file(path, comment) as handle:
         json.dump(payload, handle)
         handle.write("\n")
 

@@ -68,6 +68,14 @@ def test_generate_period_below_one_is_usage_error_before_any_file_is_written(tmp
     assert not out.exists()
 
 
+def test_generate_negative_noise_is_input_error_before_any_file_is_written(tmp_path, capsys):
+    # it once wrote the noise-free series, as --noise 0 does
+    out = tmp_path / "o"
+    assert run(["generate", "--nodes", "4", "--steps", "24", "--noise", "-1", "--out", str(out)]) == 2
+    assert "input error: noise must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_summary_mentions_std(tmp_path, capsys):
     generate_tiny(tmp_path)
     out = capsys.readouterr().out
@@ -836,9 +844,10 @@ def test_mistyped_config_value_exits_2_naming_the_key(tmp_path, capsys, config, 
     ({"ratio": 1}, True), ({"width": 12.0}, False), ({"seed": True}, False),
     ({"learning_rate": False}, False), ({"kernel_sizes": [3, 5.0]}, False),
     ({"ablations": ["no_gtconv", 1]}, False), ({"mask_mode": 0}, False),
-    ('# note\n{"ratio": 0.5}\n', True),
+    ('# note\n{"ratio": 0.5}\n', True), ({"valid_frac": float("nan")}, False),
+    ({"learning_rate": float("inf")}, False),
 ], ids=["int_as_float", "float_as_int", "bool_as_int", "bool_as_float", "float_in_int_list",
-        "int_in_str_list", "int_as_str", "comment_line_first"])
+        "int_in_str_list", "int_as_str", "comment_line_first", "nan_float", "infinite_float"])
 def test_config_value_types(tmp_path, value, accepted):
     path = tmp_path / "cfg.json"
     path.write_text(value if isinstance(value, str) else json.dumps(value))
@@ -847,6 +856,25 @@ def test_config_value_types(tmp_path, value, accepted):
     else:
         with pytest.raises(InputError, match="must be"):
             cli.RunConfig.from_file(path)
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["train", "--lr", "nan", "--series", "missing.csv", "--adj", "missing.csv"], "learning_rate"),
+    (["generate", "--amplitude", "inf"], "amplitude"),
+], ids=["train_lr_nan", "generate_amplitude_inf"])
+def test_non_finite_float_flag_exits_2_before_any_input_is_read(tmp_path, capsys, argv, key):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 2
+    # a missing --series would be reported first if it were read first
+    assert f"input error: config key {key!r} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_invalid_json_in_config_names_the_line_from_the_top_of_the_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('# note\n\n{"ratio": 0.5,\n "width": }\n')
+    with pytest.raises(InputError, match="invalid JSON: Expecting value: line 4 column 11"):
+        cli.RunConfig.from_file(path)
 
 
 def test_eval_reads_the_config_that_train_writes(tmp_path):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import maginet
 from maginet.errors import ContractError, InputError
 from maginet.graph import (
     ChebyshevBasis,
@@ -204,10 +210,13 @@ def test_single_edge_builds_path(tmp_path):
 
 def test_duplicate_edge_conflicting_weight_rejected(tmp_path):
     p = tmp_path / "adj.csv"
-    p.write_text("src,dst,weight\n0,1,1.0\n0,1,2.0\n")
-    with pytest.raises(InputError) as err:
-        load_adjacency(p, 2)
-    assert "line 3" in str(err.value)
+    # the second 0->1 edge's line counts the comment and blank lines before it
+    for text, line in [("src,dst,weight\n0,1,1.0\n0,1,2.0\n", 3),
+                       ("# by hand\n\n# note\n\nsrc,dst,weight\n0,1,1.0\n\n# late\n0,1,2.0\n", 9)]:
+        p.write_text(text)
+        with pytest.raises(InputError) as err:
+            load_adjacency(p, 2)
+        assert f"line {line}:" in str(err.value)
 
 
 def test_out_of_range_node_rejected_with_line(tmp_path):
@@ -249,6 +258,15 @@ def test_adjacency_file_ends_every_line_with_a_newline_alone(tmp_path):
     save_adjacency(p, path_graph(), comment="test")
     text = p.read_bytes()
     assert b"\r" not in text and text.startswith(b"# test\nsrc,dst,weight\n")
+
+
+def test_graph_imports_first_in_a_fresh_interpreter():
+    # graph reads and writes through data, so data may import graph only inside a function
+    src = str(Path(maginet.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", "import maginet.graph"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_basis_is_read_only():

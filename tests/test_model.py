@@ -543,6 +543,13 @@ def test_malformed_checkpoint_is_an_input_error_naming_the_file(tmp_path, spoil)
         mm.load_checkpoint(path, model.graph)
 
 
+def test_invalid_json_in_checkpoint_names_the_line_from_the_top_of_the_file(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text('# saved by a test\n# second comment\n{"format_version": 2,\n "width": }\n')
+    with pytest.raises(InputError, match="not a valid checkpoint: Expecting value: line 4 column 11"):
+        mm.load_checkpoint(path, ring(4))
+
+
 def test_checkpoint_tensors_roundtrip_bit_exact(tmp_path):
     model = make_model(seed=9)
     tricky = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1e308, -1e308,
