@@ -67,24 +67,24 @@ class RunConfig:
     offset: float = 20.0
     noise: float = 0.05
     extra_edges: int = 4
-    # model architecture
-    d: int = 16
-    heads: int = 3
-    head_dim: int = 0
-    spatial_dim: int = 16
-    cheb_order: int = 3
-    kernel_sizes: tuple = (3, 5)
-    blocks: int = 2
-    spatial_kernel: int = 3
-    mask_mode: str = "neg_inf"
-    ablations: tuple = ()
-    # optimization
-    learning_rate: float = 3e-3
-    epochs: int = 200
-    batch_size: int = 8
-    patience: int = 200      # as many as the epochs: no early stop by default
-    grad_clip: float = 0.0   # 0 disables clipping
-    hide_fraction: float = 0.5  # observed entries hidden per training window
+    # model architecture, defaults from the library
+    d: int = ModelConfig.d
+    heads: int = ModelConfig.heads
+    head_dim: int = ModelConfig.head_dim
+    spatial_dim: int = ModelConfig.spatial_dim
+    cheb_order: int = ModelConfig.cheb_order
+    kernel_sizes: tuple = ModelConfig.kernel_sizes
+    blocks: int = ModelConfig.blocks
+    spatial_kernel: int = ModelConfig.spatial_kernel
+    mask_mode: str = ModelConfig.mask_mode
+    ablations: tuple = ()    # a JSON list, where ModelConfig holds a set
+    # optimization, defaults from the library
+    learning_rate: float = TrainConfig.learning_rate
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    patience: int = TrainConfig.patience
+    grad_clip: float = 0.0   # 0 disables clipping, where TrainConfig takes None
+    hide_fraction: float = TrainConfig.hide_fraction
 
     def __post_init__(self):
         self.kernel_sizes = tuple(int(k) for k in self.kernel_sizes)
@@ -107,7 +107,7 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**{**self._fields_of(TrainConfig),
-                              "grad_clip": self.grad_clip if self.grad_clip > 0 else None})
+                              "grad_clip": self.grad_clip or None})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -234,15 +234,13 @@ def _load_mask(path, series):
 
 
 def _load_or_draw_mask(args, cfg: RunConfig, series):
-    """Load the persisted eval mask, or draw one."""
+    """The eval mask and its label, ``(mask, ratio, seed)``: a mask read from
+    --mask is labelled by the share of observed entries it hides and no
+    seed, a drawn one by the ratio and seed it was drawn with."""
     if not args.mask:
-        return data.draw_eval_mask(series, cfg.ratio, cfg.seed)
-    return _load_mask(args.mask, series)
-
-
-def _hidden_share(mask, series) -> float:
-    """The ratio of a mask read from --mask: the share of observed entries it hides."""
-    return int(mask.sum()) / max(1, int(series.observed().sum()))
+        return data.draw_eval_mask(series, cfg.ratio, cfg.seed), cfg.ratio, cfg.seed
+    mask = _load_mask(args.mask, series)
+    return mask, int(mask.sum()) / max(1, int(series.observed().sum())), None
 
 
 def _dataset_tag(args) -> str:
@@ -289,9 +287,7 @@ def cmd_mask(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     series, graph = _load_series_graph(args)
-    mask = _load_or_draw_mask(args, cfg, series)
-    if args.mask:
-        cfg.ratio = _hidden_share(mask, series)
+    mask, cfg.ratio, _ = _load_or_draw_mask(args, cfg, series)
     windows = data.make_windows(series, mask, cfg.width, cfg.effective_stride)
     train_ws, valid_ws, test_ws = data.split(windows, cfg.fractions)
     model = MagiNet(cfg.model_config(), graph, width=cfg.width, n_features=series.n_features,
@@ -351,10 +347,8 @@ def cmd_eval(args) -> int:
     if model is not None and model.width != cfg.width:
         raise InputError(f"{args.checkpoint}: the model was trained on windows of width "
                          f"{model.width}, but --width is {cfg.width}")
-    mask = _load_or_draw_mask(args, cfg, series)
+    mask, ratio, seed = _load_or_draw_mask(args, cfg, series)
     windows = data.make_windows(series, mask, cfg.width, cfg.effective_stride)
-    # a mask read from --mask is labelled by the share of observed entries it hides, and no seed
-    ratio, seed = (_hidden_share(mask, series), None) if args.mask else (cfg.ratio, cfg.seed)
     chosen = windows if args.split == "all" else data.split(windows, cfg.fractions)[2]
     if not chosen:
         raise InputError("no windows in the selected split")
@@ -388,13 +382,11 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     methods = _listed(_csv_names(args.methods), "--methods")
-    for ratio in _listed(args.ratios, "--ratios"):
-        if not 0.0 < ratio < 1.0:
-            raise UsageError(f"--ratios entries must lie in (0, 1), got {ratio}")
+    ratios = list(_listed(args.ratios, "--ratios"))
     cfg = _load_config(args)
     series, graph = _load_series_graph(args)
     report = evaluation.sensitivity_sweep(
-        series, graph, list(args.ratios), methods, cfg.seed,
+        series, graph, ratios, methods, cfg.seed,
         width=cfg.width, stride=cfg.effective_stride, fractions=cfg.fractions,
         model_config=cfg.model_config(), train_config=cfg.train_config(), knn_k=cfg.knn_k,
         dataset=_dataset_tag(args))
@@ -462,7 +454,7 @@ _FLAGS = [
     ("--patience", _TRAINS, dict(type=int)),
     ("--hide-fraction", _TRAINS, dict(type=float, help="share of observed entries hidden and "
                                       "supervised per training window, in [0, 1); 0 is off "
-                                      "(default 0.5)")),
+                                      f"(default {TrainConfig.hide_fraction})")),
     ("--grad-clip", "train", dict(type=float)),
     ("--d", "train", dict(type=int)),
     ("--heads", "train", dict(type=int)),

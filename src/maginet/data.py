@@ -188,9 +188,10 @@ def hide_observed(w: IncompleteWindow, fraction: float, rng: np.random.Generator
                             window_start=w.window_start)
 
 
-def node_means(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Each node's mean over its observed steps, (N, C) for one window's
-    (N, W, C) features and (N, W) mask, (B, N, C) for a stack.
+def mean_filled(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The features with each unobserved entry (m = 0) replaced by its node's
+    mean over its observed steps: one window's (N, W, C) features and (N, W)
+    mask, or a stack of them.
 
     A node with nothing observed takes its window's observed mean, and a
     window with nothing observed gives 0.
@@ -201,8 +202,9 @@ def node_means(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     total_cnt = m.sum(axis=(-2, -1))[..., None, None]         # (..., 1, 1)
     total_sum = observed.sum(axis=(-3, -2))[..., None, :]     # (..., 1, C)
     window_mean = np.where(total_cnt > 0, total_sum / np.where(total_cnt > 0, total_cnt, 1.0), 0.0)
-    return np.where(node_cnt > 0, observed.sum(axis=-2) / np.where(node_cnt > 0, node_cnt, 1.0),
-                    window_mean)
+    means = np.where(node_cnt > 0, observed.sum(axis=-2) / np.where(node_cnt > 0, node_cnt, 1.0),
+                     window_mean)
+    return np.where(m3 == 1.0, x, means[..., None, :])
 
 
 def split(windows: list, fractions: tuple[float, float, float]) -> tuple[list, list, list]:
@@ -277,6 +279,8 @@ def synthetic_graph(n_nodes: int, extra_edges: int = 0, seed: int = 0) -> Traffi
     from .graph import TrafficGraph  # deferred, as in every annotation here: graph imports this module
     if n_nodes < 2:
         raise ContractError(f"synthetic graph needs at least 2 nodes, got {n_nodes}")
+    if extra_edges < 0:
+        raise ContractError(f"extra_edges must be >= 0, got {extra_edges}")
     adj = np.zeros((n_nodes, n_nodes))
     for i in range(n_nodes):
         j = (i + 1) % n_nodes

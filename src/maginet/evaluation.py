@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import (IncompleteWindow, SeriesMatrix, draw_eval_mask, make_windows, node_means,
+from .data import (IncompleteWindow, SeriesMatrix, draw_eval_mask, make_windows, mean_filled,
                    split, write_rows)
 from .errors import ContractError, EmptyMaskError, InputError
 from .graph import TrafficGraph
@@ -87,7 +87,7 @@ def mean_baseline(window: IncompleteWindow) -> np.ndarray:
     """
     if not window.m.any():
         raise InputError("mean baseline needs at least one observed entry")
-    return np.where(window.m[:, :, None] == 1.0, window.x, node_means(window.x, window.m)[:, None, :])
+    return mean_filled(window.x, window.m)
 
 
 NODE_BLOCK = 16  # distance rows built at a time: bounds the (rows, N, W, C) temporaries
@@ -208,21 +208,21 @@ class EvalReport:
         write_rows(path, [REPORT_COLUMNS] + [row.as_list() for row in self.rows], comment)
 
 
-def imputation_traces(windows: list[IncompleteWindow], imputed: list[np.ndarray],
-                      feature: int = 0) -> dict[int, list[tuple]]:
-    """Per-node plot data: (step, ground_truth, imputed, observed)."""
+def imputation_traces(windows: list[IncompleteWindow],
+                      imputed: list[np.ndarray]) -> dict[int, list[tuple]]:
+    """Per-node plot data of feature 0: (step, ground_truth, imputed, observed)."""
     traces: dict[int, list[tuple]] = {}
     for w, xhat in zip(windows, imputed):
         for node in range(w.n_nodes):
             rows = traces.setdefault(node, [])
             for t in range(w.width):
                 if w.m[node, t] == 1.0:
-                    truth = w.x[node, t, feature]
+                    truth = w.x[node, t, 0]
                 elif w.eval_mask[node, t] == 1.0:
-                    truth = w.ground_truth[node, t, feature]
+                    truth = w.ground_truth[node, t, 0]
                 else:
                     truth = float("nan")
-                rows.append((w.window_start + t, float(truth), float(xhat[node, t, feature]),
+                rows.append((w.window_start + t, float(truth), float(xhat[node, t, 0]),
                              int(w.m[node, t])))
     for rows in traces.values():
         rows.sort(key=lambda r: r[0])

@@ -101,16 +101,20 @@ def build_basis(graph: TrafficGraph, order: int) -> ChebyshevBasis:
 def load_adjacency(path, n_nodes: int) -> TrafficGraph:
     """Read an edge-list CSV (header src,dst,weight) into a TrafficGraph.
 
-    Blank and ``#`` lines are skipped, and an error names its line counted
-    from the top of the file. Edges are symmetrized with max(A, A^T).
-    Duplicate directed edges with conflicting weights are rejected rather
-    than silently overwritten; self-loops are stripped.
+    Blank and ``#`` lines are skipped, and an error names the line its row
+    starts on, counted from the top of the file. Edges are symmetrized with
+    max(A, A^T). Duplicate directed edges with conflicting weights are
+    rejected rather than silently overwritten; self-loops are stripped.
     """
     adj = np.zeros((n_nodes, n_nodes))
     seen: dict[tuple[int, int], float] = {}
     # each line ends in a newline, as the file's did, for a quoted cell that spans lines
-    lines = csv.reader(line + "\n" for line in text_lines(path))
-    rows = [(lineno, row) for lineno, row in enumerate(lines, 1) if row and not row[0].startswith("#")]
+    reader = csv.reader(line + "\n" for line in text_lines(path))
+    rows, lineno = [], 1   # each row numbered by the line it starts on
+    for row in reader:
+        if row and not row[0].startswith("#"):
+            rows.append((lineno, row))
+        lineno = reader.line_num + 1
     if not rows:
         raise InputError(f"{path}: missing header 'src,dst,weight'")
     (lineno, header), *edges = rows

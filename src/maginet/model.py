@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import IncompleteWindow, Normalizer, json_settings, node_means, text_file, text_lines
+from .data import IncompleteWindow, Normalizer, json_settings, mean_filled, text_file, text_lines
 from .errors import ContractError, InputError, MagiNetError
 from .graph import ChebyshevBasis, TrafficGraph, build_basis
 
@@ -245,12 +245,9 @@ def _scores(x: Tensor, params: ModelParams, prefix: str, config: ModelConfig) ->
 
 
 def _prefill(x: np.ndarray, m: np.ndarray, mode: str) -> np.ndarray:
-    """Replace unobserved entries of x by a constant (the pre-filling the
-    default encoder exists to avoid; kept for the ablation variants)."""
-    m3 = m[..., None]
-    if mode == "zero":
-        return x * m3
-    return x * m3 + node_means(x, m)[..., None, :] * (1.0 - m3)
+    """x with its unobserved entries zeroed or mean-filled (the pre-filling
+    the default encoder exists to avoid; kept for the ablation variants)."""
+    return x * m[..., None] if mode == "zero" else mean_filled(x, m)
 
 
 def amst_encode(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConfig) -> Tensor:
@@ -471,15 +468,14 @@ class MagiNet:
     """Config + parameters + spectral basis, ready to impute windows."""
 
     def __init__(self, config: ModelConfig, graph: TrafficGraph, width: int, n_features: int,
-                 seed: int = 0, params: ModelParams | None = None,
-                 normalizer: Normalizer | None = None):
+                 seed: int = 0, normalizer: Normalizer | None = None):
         self.config = config
         self.graph = graph
         self.width = width
         self.n_features = n_features
         self.seed = seed
         self.basis = build_basis(graph, config.cheb_order)
-        self.params = params or ModelParams.initialize(config, graph.n_nodes, width, n_features, seed)
+        self.params = ModelParams.initialize(config, graph.n_nodes, width, n_features, seed)
         self.normalizer = normalizer
 
     def forward(self, x: np.ndarray, m: np.ndarray, internals: dict | None = None) -> Tensor:

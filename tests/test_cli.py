@@ -69,11 +69,13 @@ def test_generate_period_below_one_is_usage_error_before_any_file_is_written(tmp
 
 
 def test_generate_negative_noise_is_input_error_before_any_file_is_written(tmp_path, capsys):
-    # it once wrote the noise-free series, as --noise 0 does
+    # and a negative edge count: they once wrote what --noise 0 and --extra-edges 0 write
     out = tmp_path / "o"
-    assert run(["generate", "--nodes", "4", "--steps", "24", "--noise", "-1", "--out", str(out)]) == 2
-    assert "input error: noise must be >= 0, got -1.0" in capsys.readouterr().err
-    assert not out.exists()
+    for flag, value, message in [("--noise", "-1", "noise must be >= 0, got -1.0"),
+                                 ("--extra-edges", "-3", "extra_edges must be >= 0, got -3")]:
+        assert run(["generate", "--nodes", "4", "--steps", "24", flag, value, "--out", str(out)]) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_generate_summary_mentions_std(tmp_path, capsys):
@@ -739,9 +741,12 @@ def test_ablate_with_empty_test_split_names_it_before_training(tmp_path, capsys,
     (["train", "--kernels", ","], 2, "input error: kernel_sizes must be nonempty"),
     (["train", "--batch-size", "0"], 2, "input error: batch_size must be >= 1"),
     (["train", "--series", "{tmp}/missing.csv"], 2, "input error: series file not found"),
+    (["train", "--grad-clip", "-5"], 2, "input error: grad_clip must be > 0, or 0 for no clipping"),
+    (["sweep", "--ratios", "0.5,1.5"], 2, "input error: sweep ratios must lie in (0, 1), got 1.5"),
 ], ids=["eval-methods", "sweep-methods", "sweep-ratios", "eval-unknown-method",
         "eval-maginet-without-checkpoint", "eval-knn-k-zero", "train-no-kernels",
-        "train-batch-size-zero", "train-missing-series"])
+        "train-batch-size-zero", "train-missing-series", "train-negative-grad-clip",
+        "sweep-ratio-out-of-range"])
 def test_empty_list_is_usage_error_before_any_file_is_written(tmp_path, capsys, argv, code, message):
     # and every other bad input: each command checks all of them before its first write
     series, adj = generate_tiny(tmp_path, steps=240)

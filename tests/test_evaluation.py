@@ -137,10 +137,10 @@ def test_mean_prefill_equals_mean_baseline_at_hidden_entries():
         windows.append(window_from(values, m, np.zeros((5, 7))))
     stacked = _prefill(np.stack([w.x for w in windows]), np.stack([w.m for w in windows]), "mean")
     for w, in_stack in zip(windows, stacked):
-        hidden = w.m == 0.0
-        expected = evaluation.mean_baseline(w)[hidden].tobytes()
-        assert _prefill(w.x, w.m, "mean")[hidden].tobytes() == expected
-        assert in_stack[hidden].tobytes() == expected
+        # whole arrays, observed entries too: one mean-fill rule
+        expected = evaluation.mean_baseline(w).tobytes()
+        assert _prefill(w.x, w.m, "mean").tobytes() == expected
+        assert in_stack.tobytes() == expected
 
 
 # ---------------------------------------------------------------- knn baseline

@@ -210,9 +210,11 @@ def test_single_edge_builds_path(tmp_path):
 
 def test_duplicate_edge_conflicting_weight_rejected(tmp_path):
     p = tmp_path / "adj.csv"
-    # the second 0->1 edge's line counts the comment and blank lines before it
+    # the second 0->1 edge's line counts every line before it, comment and blank lines too
     for text, line in [("src,dst,weight\n0,1,1.0\n0,1,2.0\n", 3),
-                       ("# by hand\n\n# note\n\nsrc,dst,weight\n0,1,1.0\n\n# late\n0,1,2.0\n", 9)]:
+                       ("# by hand\n\n# note\n\nsrc,dst,weight\n0,1,1.0\n\n# late\n0,1,2.0\n", 9),
+                       # a quoted cell that spans two lines: the edge is on the line after it
+                       ('src,dst,weight\n"0\n",1,1.0\n0,1,2.0\n', 4)]:
         p.write_text(text)
         with pytest.raises(InputError) as err:
             load_adjacency(p, 2)
