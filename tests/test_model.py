@@ -410,6 +410,29 @@ def test_forward_ablations_run(toggle):
     assert out.shape == w.x.shape and np.isfinite(out).all()
 
 
+# the encoder input of each variant: what fills m = 0, and whether time positions follow;
+# of several encoder toggles, w/o AMSTenc wins, then zero prefill
+@pytest.mark.parametrize("toggles, fill, positions", [
+    ({"zero_prefill"}, "zero", True),
+    ({"mean_prefill"}, "mean", True),
+    ({"no_amstenc"}, "zero", False),
+    ({"no_amstenc", "mean_prefill"}, "zero", False),
+    ({"zero_prefill", "mean_prefill"}, "zero", True),
+], ids=["zero-prefill", "mean-prefill", "no-amstenc", "no-amstenc-and-mean-prefill",
+        "zero-and-mean-prefill"])
+def test_prefill_variants_encode_their_fill_bit_for_bit(toggles, fill, positions):
+    model = make_model(ablations=frozenset(toggles))
+    w = random_window(seed=12)
+    p = {name: t.data for name, t in model.params.items()}
+    filled = w.x * w.m[..., None] if fill == "zero" else data.mean_filled(w.x, w.m)
+    expected = filled @ p["encoder.w_obs"] + p["encoder.b_obs"]
+    if positions:
+        expected = expected + p["encoder.pos_time"]
+    with ad.no_grad():
+        h = mm.amst_encode(w.x, w.m, model.params, model.config).data
+    assert np.array_equal(h, expected)
+
+
 def test_no_mastdec_is_linear_head_on_encoding():
     model = make_model(ablations=frozenset({"no_mastdec"}))
     w = random_window(seed=11)

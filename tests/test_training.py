@@ -292,6 +292,22 @@ def test_hide_observed_draws_only_observed_positions():
             assert np.array_equal(hid.ground_truth[held], w.ground_truth[held])
 
 
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 0.99])
+def test_hide_observed_is_one_exact_count_permutation_of_its_generator(fraction):
+    # the training recipe's bytes rest on this draw and on the generator state it leaves
+    series = data.generate_synthetic(5, 40, data.synthetic_graph(5, seed=3), seed=3)
+    rng = np.random.default_rng(8)
+    for w in data.make_windows(series, data.draw_eval_mask(series, 0.4, 3), 10, 10):
+        reference = copy.deepcopy(rng)
+        observed = np.flatnonzero(w.m.ravel() == 1.0)
+        count = int(np.floor(fraction * observed.size + 1e-9))
+        expected = np.zeros(w.m.size)
+        expected[observed[reference.permutation(observed.size)[:count]]] = 1.0
+        hid = data.hide_observed(w, fraction, rng)
+        assert np.array_equal(hid.eval_mask - w.eval_mask, expected.reshape(w.m.shape))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def _spy_forward(model):
     calls = []
     real_forward = model.forward
