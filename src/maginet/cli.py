@@ -58,7 +58,7 @@ class RunConfig:
     train_frac: float = 0.7
     valid_frac: float = 0.2
     test_frac: float = 0.1
-    knn_k: int = 3
+    knn_k: int = evaluation.KNN_K
     # synthetic generation
     nodes: int = 16
     steps: int = 2016
@@ -237,6 +237,7 @@ def _load_or_draw_mask(args, cfg: RunConfig, series):
     """The eval mask and its label, ``(mask, ratio, seed)``: a mask read from
     --mask is labelled by the share of observed entries it hides and no
     seed, a drawn one by the ratio and seed it was drawn with."""
+    data.check_ratio(cfg.ratio)
     if not args.mask:
         return data.draw_eval_mask(series, cfg.ratio, cfg.seed), cfg.ratio, cfg.seed
     mask = _load_mask(args.mask, series)
@@ -320,10 +321,8 @@ def cmd_impute(args) -> int:
     width, steps = model.width, series.n_steps
     windows = data.make_windows(series, mask, width, width)
     if len(windows) * width < steps:
-        # a right-aligned window imputes the steps no full window covers
-        tail = data.SeriesMatrix(values=series.values[:, steps - width:])
-        (w,) = data.make_windows(tail, mask[:, steps - width:], width, width)
-        windows.append(replace(w, window_start=steps - width))
+        # the right-aligned window, at start steps - width, imputes the steps no full window covers
+        windows.append(data.make_windows(series, mask, width, steps - width)[-1])
     filled = np.array(series.values)
     covered = 0
     for w, pred in zip(windows, predict_windows(model, windows)):
@@ -340,9 +339,9 @@ def cmd_impute(args) -> int:
 
 def cmd_eval(args) -> int:
     methods = _listed(_csv_names(args.methods), "--methods")
-    evaluation.check_methods(methods)
     cfg = _load_config(args)
     series, graph = _load_series_graph(args)
+    evaluation.check_methods(methods, cfg.knn_k, series.n_nodes)
     model = load_checkpoint(_require(args.checkpoint, "checkpoint"), graph) if "maginet" in methods else None
     if model is not None and model.width != cfg.width:
         raise InputError(f"{args.checkpoint}: the model was trained on windows of width "

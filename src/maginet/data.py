@@ -112,14 +112,18 @@ class IncompleteWindow:
 # -- masking ---------------------------------------------------------------
 
 
-def mcar_mask(n_entries: int, ratio: float, seed: int) -> np.ndarray:
-    """0/1 vector hiding exactly floor(ratio * n_entries) positions.
-
-    Exact-count sampling via a seeded permutation, not per-entry coin
-    flips, so the realized ratio is exact and reruns are bit-identical.
-    """
+def check_ratio(ratio: float) -> None:
     if not 0.0 <= ratio <= 1.0:
         raise ContractError(f"missing ratio must lie in [0, 1], got {ratio}")
+
+
+def mcar_mask(n_entries: int, ratio: float, seed: int | np.random.Generator) -> np.ndarray:
+    """0/1 vector hiding exactly floor(ratio * n_entries) positions.
+
+    One permutation drawn from ``seed``, an int or a generator it advances,
+    picks them, not per-entry coin flips, so reruns are bit-identical.
+    """
+    check_ratio(ratio)
     if n_entries < 0:
         raise ContractError("n_entries must be nonnegative")
     hide = int(math.floor(ratio * n_entries + 1e-9))
@@ -169,18 +173,16 @@ def make_windows(series: SeriesMatrix, eval_mask: np.ndarray, width: int, stride
 
 
 def hide_observed(w: IncompleteWindow, fraction: float, rng: np.random.Generator) -> IncompleteWindow:
-    """Hide floor(fraction * observed) random m = 1 positions of a window.
+    """Hide floor(fraction * observed) m = 1 positions of a window, drawn by ``mcar_mask`` from ``rng``.
 
     Hidden positions leave m and x (x is zeroed there) and join eval_mask
     with their observed values as ground truth, so they are supervised
     like the held-out ones. Held-out and natively missing positions are
     never drawn.
     """
-    observed = np.flatnonzero(w.m.ravel() == 1.0)
-    count = int(math.floor(fraction * observed.size + 1e-9))
-    hidden = np.zeros(w.m.size)
-    hidden[observed[rng.permutation(observed.size)[:count]]] = 1.0
-    hidden = hidden.reshape(w.m.shape)
+    observed = np.flatnonzero(w.m == 1.0)
+    hidden = np.zeros(w.m.shape)
+    hidden.flat[observed[mcar_mask(observed.size, fraction, rng) == 0]] = 1.0
     keep = hidden[:, :, None] == 0.0
     return IncompleteWindow(x=np.where(keep, w.x, 0.0), m=w.m - hidden,
                             eval_mask=w.eval_mask + hidden,

@@ -9,7 +9,7 @@ ground truth it should not.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -159,17 +159,20 @@ def knn_baseline(window: IncompleteWindow, k: int) -> np.ndarray:
 
 BASELINES = ("mean", "knn")
 METHODS = (*BASELINES, "maginet")
+KNN_K = 3  # the neighbours knn averages unless a caller names another k
 
 
-def check_methods(methods: list[str]) -> None:
-    """Reject the first name in ``methods`` that is not one of ``METHODS``."""
+def check_methods(methods: list[str], knn_k: int, n_nodes: int) -> None:
+    """Reject the first name in ``methods`` not in ``METHODS``, then a ``knn_k`` knn cannot use."""
     unknown = [method for method in methods if method not in METHODS]
     if unknown:
         raise InputError(f"unknown method {unknown[0]!r}")
+    if "knn" in methods:
+        check_knn_k(knn_k, n_nodes)
 
 
 def baseline_predictions(method: str, windows: list[IncompleteWindow],
-                         knn_k: int = 3) -> list[np.ndarray]:
+                         knn_k: int = KNN_K) -> list[np.ndarray]:
     """Each window filled by the named baseline, ``mean`` or ``knn``."""
     if method == "mean":
         return [mean_baseline(w) for w in windows]
@@ -232,7 +235,7 @@ def imputation_traces(windows: list[IncompleteWindow],
 # -- method runners ------------------------------------------------------------
 
 
-def evaluate_baseline(method: str, windows: list[IncompleteWindow], knn_k: int = 3) -> tuple[float, float]:
+def evaluate_baseline(method: str, windows: list[IncompleteWindow], knn_k: int = KNN_K) -> tuple[float, float]:
     return pooled_metrics(baseline_predictions(method, windows, knn_k), windows)
 
 
@@ -258,7 +261,7 @@ class Cell:
 
 
 def run_cell(cell: Cell, series: SeriesMatrix, graph: TrafficGraph, seed: int, *, width: int,
-             stride: int, fractions: tuple[float, float, float], train_config, knn_k: int = 3,
+             stride: int, fractions: tuple[float, float, float], train_config, knn_k: int = KNN_K,
              dataset: str = "synthetic") -> ReportRow:
     """Draw the cell's mask, window and split the series, and score the method
     on the test split (a model trains from ``seed``); only the scoring is timed."""
@@ -284,13 +287,11 @@ def _run_cells(cells: list[Cell], **context) -> EvalReport:
 
 def sensitivity_sweep(series: SeriesMatrix, graph: TrafficGraph, ratios: list[float],
                       methods: list[str], seed: int, *, model_config: ModelConfig,
-                      knn_k: int = 3, **context) -> EvalReport:
+                      knn_k: int = KNN_K, **context) -> EvalReport:
     """Missing-ratio sweep: one report row per (ratio, method), ratio-major,
     each ratio's mask drawn from a seed made of ``seed`` and the ratio.
     ``context`` holds ``run_cell``'s other keywords."""
-    check_methods(methods)
-    if "knn" in methods:
-        check_knn_k(knn_k, series.n_nodes)
+    check_methods(methods, knn_k, series.n_nodes)
     for ratio in ratios:
         if not 0.0 < ratio < 1.0:
             raise ContractError(f"sweep ratios must lie in (0, 1), got {ratio}")
@@ -319,6 +320,6 @@ def ablation_run(series: SeriesMatrix, graph: TrafficGraph, variants: list[str],
     if unknown:
         raise InputError(f"unknown ablation variant {unknown[0]!r}; known: {sorted(VARIANT_TOGGLES)}")
     cells = [Cell("MagiNet", model_config, ratio, seed)] + [
-        Cell(name, model_config.with_ablations(VARIANT_TOGGLES[name]), ratio, seed)
+        Cell(name, replace(model_config, ablations={VARIANT_TOGGLES[name]}), ratio, seed)
         for name in variants]
     return _run_cells(cells, series=series, graph=graph, seed=seed, **context)

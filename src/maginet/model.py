@@ -85,9 +85,6 @@ class ModelConfig:
     def dh(self) -> int:
         return self.head_dim if self.head_dim else max(1, self.d // self.heads)
 
-    def with_ablations(self, *names: str) -> "ModelConfig":
-        return ModelConfig(**{**self.to_dict(), "ablations": frozenset(names)})
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["ablations"] = sorted(self.ablations)
@@ -253,21 +250,23 @@ def _prefill(x: np.ndarray, m: np.ndarray, mode: str) -> np.ndarray:
 def amst_encode(x: np.ndarray, m: np.ndarray, params: ModelParams, config: ModelConfig) -> Tensor:
     """Embed observations, substitute the missing embedding, add time positions.
 
-    The output never depends on values stored at m = 0 positions.
+    An ablation fills m = 0 with zeros, or node means under ``mean_prefill``,
+    and skips the missing embedding; ``no_amstenc`` skips the time positions
+    too. The output never depends on values stored at m = 0 positions.
     """
     if np.isnan(x[m == 1.0]).any():
         raise InputError("NaN at an observed position; convert NaNs to masked entries upstream")
-    m3 = m[..., None]
-    if "no_amstenc" in config.ablations:
-        return ad.matmul(ad.constant(x * m3), params["encoder.w_obs"]) + params["encoder.b_obs"]
-    if "zero_prefill" in config.ablations or "mean_prefill" in config.ablations:
-        mode = "zero" if "zero_prefill" in config.ablations else "mean"
-        filled = _prefill(x, m, mode)
-        x_p = ad.matmul(ad.constant(filled), params["encoder.w_obs"]) + params["encoder.b_obs"]
-    else:
-        x_o = ad.matmul(ad.constant(x * m3), params["encoder.w_obs"]) + params["encoder.b_obs"]
-        x_p = x_o * m3 + params["encoder.missing_embed"] * (1.0 - m3)
-    return x_p + params["encoder.pos_time"]
+    # of several encoder toggles, the first here wins
+    variant = next((name for name in ("no_amstenc", "zero_prefill", "mean_prefill")
+                    if name in config.ablations), None)
+    filled = _prefill(x, m, "mean" if variant == "mean_prefill" else "zero")
+    h = ad.matmul(ad.constant(filled), params["encoder.w_obs"]) + params["encoder.b_obs"]
+    if variant == "no_amstenc":
+        return h
+    if variant is None:
+        m3 = m[..., None]
+        h = h * m3 + params["encoder.missing_embed"] * (1.0 - m3)
+    return h + params["encoder.pos_time"]
 
 
 def temporal_attention(h: Tensor, m: np.ndarray, a_prev: Tensor | None, params: ModelParams,
@@ -517,13 +516,11 @@ def _decode(entry: dict) -> np.ndarray:
 
 def _decode_normalizer(stats: dict, n_features: int) -> Normalizer:
     """``n_features`` finite means and as many finite, positive stds."""
-    arrays = {}
-    for key in ("mean", "std"):
-        values = stats[key]
-        if not (isinstance(values, list) and len(values) == n_features
-                and all(type(v) in (int, float) and math.isfinite(v) for v in values)):
-            raise ValueError(f"normalizer {key} must be a list of {n_features} finite numbers")
-        arrays[key] = np.array(values, dtype=np.float64)
+    stats = json_settings({key: stats[key] for key in ("mean", "std")},
+                          dict.fromkeys(("mean", "std"), [0.0]), "normalizer")
+    arrays = {key: np.array(values, dtype=np.float64) for key, values in stats.items()}
+    if any(len(values) != n_features for values in arrays.values()):
+        raise ValueError(f"normalizer mean and std must each hold {n_features} numbers")
     if not (arrays["std"] > 0).all():
         raise ValueError("normalizer std must be positive")
     return Normalizer(**arrays)

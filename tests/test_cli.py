@@ -585,6 +585,41 @@ def test_impute_checkpoint_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     assert f"input error: {checkpoint}: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, source", [("train", "flag"), ("eval", "config")])
+def test_out_of_range_ratio_beside_a_mask_it_reads_exits_2(tmp_path, capsys, command, source):
+    # the mask, not the ratio, labels the run, but a ratio out of [0, 1] is still an input error
+    series, adj = generate_tiny(tmp_path, steps=240)
+    assert run(["mask", "--series", str(series), "--ratio", "0.2", "--out", str(tmp_path)]) == 0
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"ratio": 1.5}))
+    ratio = ["--ratio", "1.5"] if source == "flag" else ["--config", str(config)]
+    out = tmp_path / "o"
+    assert run([command, "--series", str(series), "--adj", str(adj), "--mask",
+                str(tmp_path / "mask.csv"), "--out", str(out)] + ratio) == 2
+    assert "input error: missing ratio must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_knn_k_out_of_range_exits_2_before_any_prediction(tmp_path, capsys, monkeypatch):
+    series, adj = generate_tiny(tmp_path)
+    model = MagiNet(ModelConfig(d=4, heads=2, head_dim=2, spatial_dim=3, cheb_order=2,
+                                kernel_sizes=(3,), blocks=1),
+                    load_adjacency(adj, 6), width=12, n_features=1, seed=1)
+    checkpoint = tmp_path / "k.json"
+    save_checkpoint(checkpoint, model)
+    predicted = []
+    monkeypatch.setattr(cli, "predict_windows",
+                        lambda model, windows: predicted.append(windows) or [w.x for w in windows])
+    capsys.readouterr()
+    assert run(["eval", "--series", str(series), "--adj", str(adj), "--checkpoint",
+                str(checkpoint), "--methods", "maginet,knn", "--knn-k", "6",
+                "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and predicted == []
+    assert "input error: k must be below the node count (6), got 6" in captured.err
+    assert not (tmp_path / "o").exists()
+
+
 def test_eval_maginet_rmse_equals_train_test_rmse(tmp_path):
     # 100 windows of 12 steps: the 10 test windows take two chunks of EVAL_CHUNK
     series, adj = generate_tiny(tmp_path, steps=1200)
@@ -743,10 +778,12 @@ def test_ablate_with_empty_test_split_names_it_before_training(tmp_path, capsys,
     (["train", "--series", "{tmp}/missing.csv"], 2, "input error: series file not found"),
     (["train", "--grad-clip", "-5"], 2, "input error: grad_clip must be > 0, or 0 for no clipping"),
     (["sweep", "--ratios", "0.5,1.5"], 2, "input error: sweep ratios must lie in (0, 1), got 1.5"),
+    (["eval", "--mask", "{tmp}/mask.csv", "--ratio", "1.5", "--methods", "mean"], 2,
+     "input error: missing ratio must lie in [0, 1], got 1.5"),
 ], ids=["eval-methods", "sweep-methods", "sweep-ratios", "eval-unknown-method",
         "eval-maginet-without-checkpoint", "eval-knn-k-zero", "train-no-kernels",
         "train-batch-size-zero", "train-missing-series", "train-negative-grad-clip",
-        "sweep-ratio-out-of-range"])
+        "sweep-ratio-out-of-range", "eval-ratio-out-of-range-beside-mask"])
 def test_empty_list_is_usage_error_before_any_file_is_written(tmp_path, capsys, argv, code, message):
     # and every other bad input: each command checks all of them before its first write
     series, adj = generate_tiny(tmp_path, steps=240)
